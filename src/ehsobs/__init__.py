@@ -17,7 +17,6 @@ from .analysis import (
 from .cells import (
     AstwCellParams,
     AstwCellState,
-    BoundSet,
     GainCheck,
     astw_step,
     check_gain_condition,
@@ -44,11 +43,9 @@ from .harness import (
     noisy_scenario,
     pi_controllers,
     read_scenario,
-    read_trace,
     run_scenario,
     step_closed_loop,
     write_scenario,
-    write_trace,
 )
 from .observer import (
     ChannelInjections,
@@ -69,7 +66,6 @@ from .plant import (
     PlantState,
     advance_plant,
     leakage_flows,
-    measure,
     pdv_flows,
     plant_derivative,
     pressure_rate_coeffs,

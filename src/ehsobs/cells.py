@@ -68,27 +68,10 @@ class AstwCellParams:
 
 @dataclass(frozen=True)
 class AstwCellState:
-    """State of one injection cell: adaptive gain, integral term, last output."""
+    """State of one injection cell: adaptive gain and integral term."""
 
     L1: float
     nu: float = 0.0
-    last_mu: float = 0.0
-
-
-@dataclass(frozen=True)
-class BoundSet:
-    """Per-channel perturbation bounds used by the gain-condition check.
-
-    delta1[i] bounds the i-th channel's direct perturbation, delta2[i] bounds
-    the drift rate of its integrated perturbation.
-    """
-
-    delta1: tuple[float, float, float, float]
-    delta2: tuple[float, float, float, float]
-
-    def validate(self) -> None:
-        if any(d < 0.0 for d in self.delta1 + self.delta2):
-            raise ValueError("BoundSet entries must be >= 0")
 
 
 def adapt_gain(L1: float, sigma: float, p: AstwCellParams, dt: float) -> float:
@@ -120,7 +103,7 @@ def astw_step(cell: AstwCellState, sigma: float, p: AstwCellParams,
     L2 = p.lambda1 * L1
     nu = cell.nu + dt * L2 * sign(sigma)
     mu = L1 * sqrt_sign(sigma) + nu
-    return mu, AstwCellState(L1=L1, nu=nu, last_mu=mu)
+    return mu, AstwCellState(L1=L1, nu=nu)
 
 
 def stw_step(cell: AstwCellState, sigma: float, L1_fixed: float,
@@ -132,7 +115,7 @@ def stw_step(cell: AstwCellState, sigma: float, L1_fixed: float,
         raise ValueError("fixed gains must be > 0")
     nu = cell.nu + dt * L2_fixed * sign(sigma)
     mu = L1_fixed * sqrt_sign(sigma) + nu
-    return mu, AstwCellState(L1=L1_fixed, nu=nu, last_mu=mu)
+    return mu, AstwCellState(L1=L1_fixed, nu=nu)
 
 
 def fosmo_step(sigma: float, rho_gain: float) -> float:

@@ -8,7 +8,8 @@ Subcommands:
   check-gains evaluate the sliding-gain condition and the stability numbers
   report      compute metrics from an existing trace CSV
 
-Exit codes: 0 success, 2 configuration/file error, 3 numerical abort.
+Exit codes: 0 success, 2 configuration/file error, 3 numerical abort or
+physical-domain violation (DomainViolation).
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .harness import (
     Scenario,
     SimTrace,
     read_scenario,
-    read_trace,
     run_scenario,
 )
 from .observer import OBSERVER_KINDS
+from .plant import DomainViolation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -145,7 +146,7 @@ def _cmd_check_gains(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    trace = read_trace(args.trace)
+    trace = SimTrace.read_csv(args.trace)
     eps = None
     if args.scenario is not None:
         scenario = read_scenario(args.scenario)
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalAbort as exc:
+    except (NumericalAbort, DomainViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

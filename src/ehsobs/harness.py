@@ -13,17 +13,18 @@ dt/substeps (the hydraulics are stiffer than the 1 ms sample rate).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .cells import AstwCellParams
 from .observer import (
     FosmoGains,
-    InitialEstimates,
     ObserverConfig,
     ObserverState,
     StwGains,
@@ -181,8 +182,12 @@ class Scenario:
             raise ConfigError("dt must be > 0")
         if self.duration < self.dt:
             raise ConfigError("duration must be >= dt")
+        if not math.isfinite(self.duration / self.dt):
+            raise ConfigError("duration / dt gives no finite record count")
         if self.substeps < 1:
             raise ConfigError("substeps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         try:
             self.plant.validate()
             self.observer.validate()
@@ -436,147 +441,135 @@ def run_scenario(scenario: Scenario, observer_kind: str | None = None,
 
 
 # --- scenario (de)serialization -------------------------------------------
+# The dataclasses are the schema: the decoder walks their init fields and
+# type annotations, so a field added to a dataclass is read and written
+# without further edits here.
 
-_PLANT_KEYS = ("tau_v", "K_v", "tau_s", "K_r", "beta", "rho", "C_d", "w",
-               "d1", "d2", "V01", "V02", "m", "c", "P_T", "stroke", "P_s_max")
-_CELL_KEYS = ("epsilon", "alpha1", "Gamma1", "lambda1", "lambda2",
-              "L_floor", "L_ramp", "L1_init")
-_INITIAL_EST_KEYS = ("z1", "y1", "y2", "y3", "y4", "z2")
-_FAULT_KEYS = ("t_start", "t_end", "C_i", "C_e1", "C_e2", "f_d", "Delta")
-_SCENARIO_KEYS = ("duration", "dt", "substeps", "seed", "plant", "initial_state",
-                  "observer", "controller", "position_profile", "supply_setpoint",
-                  "faults", "noise_std", "supply_uncertainty", "force_disturbance",
-                  "reconstruction_tau")
+class _JsonConstant:
+    """A NaN/Infinity token, which strict JSON lacks; no field type takes it."""
 
+    def __init__(self, token: str):
+        self.token = token
 
-def _reject_unknown(d: dict, allowed, path: str) -> None:
-    unknown = [k for k in d if k not in allowed]
-    if unknown:
-        where = f"{path}.{unknown[0]}" if path else unknown[0]
-        raise ConfigError(f"unknown key '{where}'")
+    def __repr__(self) -> str:
+        return self.token
 
 
-def _build(cls, d: dict, allowed, path: str):
-    _reject_unknown(d, allowed, path)
-    try:
-        return cls(**d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
+_LEAVES = {float: ((int, float), "a finite number"),
+           int: (int, "an integer"),
+           str: (str, "a string")}
 
 
-def _observer_from_dict(d: dict, path: str) -> ObserverConfig:
-    _reject_unknown(d, ("kind", "astw", "stw", "fosmo", "initial"), path)
-    kwargs: dict = {"kind": d.get("kind", "astw")}
-    if d.get("astw") is not None:
-        kwargs["astw"] = tuple(
-            _build(AstwCellParams, cd, _CELL_KEYS, f"{path}.astw[{i}]")
-            for i, cd in enumerate(d["astw"]))
-    if d.get("stw") is not None:
-        kwargs["stw"] = tuple(
-            _build(StwGains, gd, ("L1", "L2"), f"{path}.stw[{i}]")
-            for i, gd in enumerate(d["stw"]))
-    if d.get("fosmo") is not None:
-        fd = dict(d["fosmo"])
-        _reject_unknown(fd, ("rho", "rho4_vel"), f"{path}.fosmo")
+@functools.cache
+def _schema(cls) -> tuple[dict, tuple[str, ...]]:
+    """Annotated type per init field of a dataclass, and the required names."""
+    hints = get_type_hints(cls)
+    init = [f for f in fields(cls) if f.init]
+    required = tuple(f.name for f in init
+                     if f.default is MISSING and f.default_factory is MISSING)
+    return {f.name: hints[f.name] for f in init}, required
+
+
+def _describe(value) -> str:
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "an array"
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    return repr(value)
+
+
+def _decode(tp, value, path: str):
+    """Build a value of annotated type tp from parsed JSON, or raise ConfigError.
+
+    Handles dataclasses, `X | None`, fixed-length tuple[X, X, ...],
+    tuple[X, ...], float, int and str.  A bool is never a number, an int
+    field takes only an integer and a float field any finite number.
+    """
+    def fail(expected: str):
+        raise ConfigError(f"{path}: expected {expected}, got {_describe(value)}")
+
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType):
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _decode(tp, value, path)
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            fail("an object")
+        types_, required = _schema(tp)
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in types_:
+                raise ConfigError(f"unknown key '{prefix}{key}'")
+        for key in required:
+            if key not in value:
+                raise ConfigError(f"missing key '{prefix}{key}'")
+        kwargs = {k: _decode(types_[k], v, prefix + k) for k, v in value.items()}
         try:
-            kwargs["fosmo"] = FosmoGains(rho=tuple(fd["rho"]), rho4_vel=fd["rho4_vel"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}.fosmo: {exc}") from exc
-    if d.get("initial") is not None:
-        kwargs["initial"] = _build(InitialEstimates, d["initial"],
-                                   _INITIAL_EST_KEYS, f"{path}.initial")
-    return ObserverConfig(**kwargs)
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{path or tp.__name__}: {exc}") from exc
+        except ArithmeticError as exc:  # e.g. a derived quantity overflows
+            raise ConfigError(f"{path or tp.__name__}: out of range ({exc})") from exc
+    if origin is tuple:
+        if not isinstance(value, list):
+            fail("an array")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_decode(t, v, f"{path}[{i}]")
+                     for i, (t, v) in enumerate(zip(args, value)))
+    accepted, expected = _LEAVES[tp]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        fail(expected)
+    if tp is float:
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            fail(expected)
+        return number
+    return value
 
 
-def scenario_from_dict(d: dict) -> Scenario:
-    """Build a Scenario from parsed JSON, rejecting unknown keys with their path."""
+def _encode(value):
+    """Dataclasses to dicts (init fields, in order) and tuples to lists."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def scenario_from_dict(d) -> Scenario:
+    """Build and validate a Scenario from parsed JSON; errors name their path."""
     if not isinstance(d, dict):
         raise ConfigError("scenario file must contain a JSON object")
-    _reject_unknown(d, _SCENARIO_KEYS, "")
-    kwargs: dict = {}
-    for key in ("duration", "dt", "substeps", "seed", "supply_setpoint",
-                "reconstruction_tau"):
-        if key in d:
-            kwargs[key] = d[key]
-    if "plant" in d:
-        kwargs["plant"] = _build(PlantParams, d["plant"], _PLANT_KEYS, "plant")
-    if "initial_state" in d:
-        kwargs["initial_state"] = _build(
-            InitialPlantState, d["initial_state"],
-            ("x1", "P1", "P2", "Ps", "xc", "velocity"), "initial_state")
-    if "observer" in d:
-        kwargs["observer"] = _observer_from_dict(d["observer"], "observer")
-    if "controller" in d:
-        kwargs["controller"] = _build(
-            ControllerGains, d["controller"],
-            ("kp_pos", "ki_pos", "kp_supply", "ki_supply"), "controller")
-    if "position_profile" in d:
-        kwargs["position_profile"] = _build(
-            PositionProfile, d["position_profile"],
-            ("offset", "amplitude", "frequency_hz"), "position_profile")
-    if "faults" in d:
-        kwargs["faults"] = tuple(
-            _build(FaultWindow, fd, _FAULT_KEYS, f"faults[{i}]")
-            for i, fd in enumerate(d["faults"]))
-    if "noise_std" in d:
-        kwargs["noise_std"] = _build(NoiseStd, d["noise_std"],
-                                     ("P1", "P2", "Ps", "xc"), "noise_std")
-    if "supply_uncertainty" in d:
-        kwargs["supply_uncertainty"] = _build(
-            SupplyUncertainty, d["supply_uncertainty"],
-            ("amplitude", "frequency_hz"), "supply_uncertainty")
-    if "force_disturbance" in d:
-        kwargs["force_disturbance"] = _build(
-            ForceDisturbance, d["force_disturbance"],
-            ("amplitude", "frequency_hz"), "force_disturbance")
-    scenario = Scenario(**kwargs)
+    scenario = _decode(Scenario, d, "")
     scenario.validate()
     return scenario
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    obs = sc.observer
-    obs_d: dict = {"kind": obs.kind}
-    if obs.astw is not None:
-        obs_d["astw"] = [{k: getattr(cp, k) for k in _CELL_KEYS} for cp in obs.astw]
-    if obs.stw is not None:
-        obs_d["stw"] = [{"L1": g.L1, "L2": g.L2} for g in obs.stw]
-    if obs.fosmo is not None:
-        obs_d["fosmo"] = {"rho": list(obs.fosmo.rho), "rho4_vel": obs.fosmo.rho4_vel}
-    obs_d["initial"] = {k: getattr(obs.initial, k) for k in _INITIAL_EST_KEYS}
-    return {
-        "duration": sc.duration,
-        "dt": sc.dt,
-        "substeps": sc.substeps,
-        "seed": sc.seed,
-        "plant": {k: getattr(sc.plant, k) for k in _PLANT_KEYS},
-        "initial_state": {k: getattr(sc.initial_state, k)
-                          for k in ("x1", "P1", "P2", "Ps", "xc", "velocity")},
-        "observer": obs_d,
-        "controller": {k: getattr(sc.controller, k)
-                       for k in ("kp_pos", "ki_pos", "kp_supply", "ki_supply")},
-        "position_profile": {k: getattr(sc.position_profile, k)
-                             for k in ("offset", "amplitude", "frequency_hz")},
-        "supply_setpoint": sc.supply_setpoint,
-        "faults": [{k: getattr(fw, k) for k in _FAULT_KEYS} for fw in sc.faults],
-        "noise_std": {k: getattr(sc.noise_std, k) for k in ("P1", "P2", "Ps", "xc")},
-        "supply_uncertainty": {k: getattr(sc.supply_uncertainty, k)
-                               for k in ("amplitude", "frequency_hz")},
-        "force_disturbance": {k: getattr(sc.force_disturbance, k)
-                              for k in ("amplitude", "frequency_hz")},
-        "reconstruction_tau": sc.reconstruction_tau,
-    }
+    return _encode(sc)
 
 
 def read_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_JsonConstant)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # undecodable bytes, over-long integer literal
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_dict(raw)
 
 
@@ -584,14 +577,6 @@ def write_scenario(sc: Scenario, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario_to_dict(sc), fh, indent=2)
         fh.write("\n")
-
-
-def write_trace(trace: SimTrace, path) -> None:
-    trace.write_csv(path)
-
-
-def read_trace(path) -> SimTrace:
-    return SimTrace.read_csv(path)
 
 
 # --- shipped defaults -------------------------------------------------------

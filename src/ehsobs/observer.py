@@ -223,9 +223,6 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
         mu_1 = fosmo_step(s1, r1)
         mu_2 = fosmo_step(s2, r2)
         mu_3 = fosmo_step(s3, r3)
-        c1 = replace(c1, L1=r1, last_mu=mu_1)
-        c2 = replace(c2, L1=r2, last_mu=mu_2)
-        c3 = replace(c3, L1=r3, last_mu=mu_3)
         L1_4 = r4
         L2_4 = cfg.fosmo.rho4_vel
         mu4_pos = r4 * sign(s4)
@@ -278,7 +275,7 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
         yh4 += h * dy4
         z2 += h * dz2
 
-    cells = (c1, c2, c3, replace(c4, L1=L1_4, last_mu=mu4_vel))
+    cells = (c1, c2, c3, replace(c4, L1=L1_4))
     new = ObserverState(z1_hat=z1, y1_hat=yh1, y2_hat=yh2, y3_hat=yh3,
                         y4_hat=yh4, z2_hat=z2, cells=cells)
     inj = ChannelInjections(

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class DomainViolation(ValueError):
     """A physical-domain constraint was violated (e.g. chamber volume <= 0)."""
@@ -121,9 +119,6 @@ class ControlInputs:
 
     u1: float = 0.0
     u2: float = 0.0
-
-
-NOISE_FREE = (0.0, 0.0, 0.0, 0.0)
 
 
 def pdv_flows(x1: float, P1: float, P2: float, Ps: float, PT: float,
@@ -257,26 +252,3 @@ def advance_plant(s: PlantState, u: ControlInputs, f: FaultInputs,
 
     return PlantState(x1, x2, x3, x4, x5, x6)
 
-
-def measure(s: PlantState, noise_std=NOISE_FREE, rng=None) -> tuple[float, float, float, float]:
-    """Sample the sensors: (P1, P2, Ps, x_c) plus additive Gaussian noise.
-
-    `noise_std` gives the per-channel standard deviation; `rng` is an int
-    seed or a numpy Generator and is required when any std is non-zero so
-    that measurements stay reproducible.
-    """
-    y = (s.x2, s.x3, s.x4, s.x5)
-    if not any(sd != 0.0 for sd in noise_std):
-        return y
-    for sd in noise_std:
-        if sd < 0.0:
-            raise ValueError("noise_std entries must be >= 0")
-    if rng is None:
-        raise ValueError("rng (seed or numpy Generator) required for noisy measurements")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    z = rng.normal(size=4)
-    return (y[0] + noise_std[0] * z[0],
-            y[1] + noise_std[1] * z[1],
-            y[2] + noise_std[2] * z[2],
-            y[3] + noise_std[3] * z[3])

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from ehsobs import default_scenario, nofault_scenario, noisy_scenario, run_scenario
+
+# Same examples on every run, and no wall-clock deadline: a loaded host
+# must not turn a slow example into a failure.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ehsobs.cells import (
     AstwCellParams,
     AstwCellState,
-    BoundSet,
     astw_step,
     check_gain_condition,
     fosmo_step,
@@ -191,8 +190,3 @@ def test_gain_condition_rejects_bad_ratios():
     with pytest.raises(ValueError):
         check_gain_condition(1.0, 0.0, 1.0, 0.0, 0.0)
 
-
-def test_bound_set_validation():
-    BoundSet(delta1=(0.0, 0.0, 0.0, 0.0), delta2=(1.0, 1.0, 1.0, 1.0)).validate()
-    with pytest.raises(ValueError):
-        BoundSet(delta1=(-1.0, 0.0, 0.0, 0.0), delta2=(0.0,) * 4).validate()

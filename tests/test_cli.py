@@ -62,6 +62,75 @@ def test_run_numerical_abort_exits_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def _short_dict() -> dict:
+    return scenario_to_dict(replace(default_scenario(), duration=0.05, faults=()))
+
+
+def _with(path: tuple, value) -> dict:
+    d = _short_dict()
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return d
+
+
+# case -> (start of the one-line error, naming the dotted path; file text)
+MALFORMED = {
+    "dt-string": ("dt", json.dumps(_with(("dt",), "abc"))),
+    "dt-nan": ("dt", json.dumps(_with(("dt",), float("nan")))),
+    "duration-infinity": ("duration", json.dumps(_with(("duration",), float("inf")))),
+    "substeps-float": ("substeps", json.dumps(_with(("substeps",), 2.5))),
+    "seed-negative": ("seed", json.dumps(_with(("seed",), -1))),
+    "seed-string": ("seed", json.dumps(_with(("seed",), "x"))),
+    "faults-number": ("faults", json.dumps(_with(("faults",), 5))),
+    "plant-null": ("plant", json.dumps(_with(("plant",), None))),
+    "observer-array": ("observer", json.dumps(_with(("observer",), []))),
+    "duration-array": ("duration", json.dumps(_with(("duration",), [1]))),
+    "duration-bool": ("duration", json.dumps(_with(("duration",), True))),
+    "nan-token-nested": ("observer.astw[2].epsilon",
+                         json.dumps(_with(("observer", "astw", 2, "epsilon"),
+                                          float("nan")))),
+    "record-count-overflow": ("duration / dt",
+                              json.dumps({**_short_dict(), "duration": 1e308,
+                                          "dt": 1e-308})),
+    "derived-overflow": ("plant: out of range",
+                         json.dumps(_with(("plant", "d1"), 1e200))),
+    "tuple-length": ("observer.fosmo.rho: expected 4 entries",
+                     json.dumps(_with(("observer", "fosmo", "rho"), [1.0, 1.0, 1.0]))),
+    "missing-key": ("missing key 'observer.stw[1].L2'",
+                    json.dumps(_with(("observer", "stw", 1), {"L1": 1.0}))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_exits_2(case, tmp_path, capsys):
+    where, text = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_run_negative_seed_option_exits_2(short_scenario_file, tmp_path, capsys):
+    rc = main(["run", "--scenario", str(short_scenario_file), "--out",
+               str(tmp_path / "o"), "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+def test_run_domain_violation_exits_3(tmp_path, capsys):
+    # position noise of 1 m puts the measured piston beyond the rod-side chamber
+    path = tmp_path / "noisy_position.json"
+    path.write_text(json.dumps(_with(("noise_std", "xc"), 1.0)))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "collapses a chamber volume" in capsys.readouterr().err
+
+
 def test_compare_emits_reports(short_scenario_file, tmp_path, capsys):
     out = tmp_path / "cmp"
     rc = main(["compare", "--scenario", str(short_scenario_file), "--out", str(out)])

@@ -1,9 +1,12 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ehsobs.harness import (
     ConfigError,
@@ -118,6 +121,69 @@ def test_unknown_nested_cell_key_rejected():
     d["observer"]["astw"][2]["epsilonn"] = 1.0
     with pytest.raises(ConfigError, match=r"observer\.astw\[2\]\.epsilonn"):
         scenario_from_dict(d)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("name,build", [("default", default_scenario),
+                                        ("nofault", nofault_scenario),
+                                        ("noisy", noisy_scenario)])
+def test_write_scenario_reproduces_shipped_files(tmp_path, name, build):
+    path = tmp_path / f"{name}.json"
+    write_scenario(build(), path)
+    assert path.read_bytes() == (SCENARIO_DIR / f"{name}.json").read_bytes()
+
+
+def test_decoder_converts_integers_for_float_fields():
+    d = scenario_to_dict(default_scenario())
+    d["duration"] = 30
+    sc = scenario_from_dict(d)
+    assert type(sc.duration) is float and sc == default_scenario()
+
+
+SHIPPED_DICT = scenario_to_dict(default_scenario())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(sorted(SHIPPED_DICT)) | st.text(),
+        children, max_size=4),
+    max_leaves=20)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for k, v in items for p in _leaf_paths(v, path + (k,))]
+
+
+LEAF_PATHS = _leaf_paths(SHIPPED_DICT)
+
+
+def _build_or_config_error(d) -> None:
+    try:
+        assert isinstance(scenario_from_dict(d), Scenario)
+    except ConfigError:
+        pass
+
+
+@given(json_values)
+def test_any_json_value_builds_or_raises_config_error(value):
+    _build_or_config_error(value)
+
+
+@given(st.sampled_from(LEAF_PATHS), json_values)
+def test_one_replaced_leaf_builds_or_raises_config_error(path, value):
+    d = json.loads(json.dumps(SHIPPED_DICT))
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    _build_or_config_error(d)
 
 
 def test_malformed_json_reports_location(tmp_path):

@@ -13,7 +13,6 @@ from ehsobs.plant import (
     PlantState,
     advance_plant,
     leakage_flows,
-    measure,
     pdv_flows,
     plant_derivative,
     pressure_rate_coeffs,
@@ -229,34 +228,3 @@ def test_advance_rejects_bad_args():
     with pytest.raises(ValueError):
         advance_plant(s, ControlInputs(), FaultInputs(), P, dt=1e-3, substeps=0)
 
-
-# --- measurement -------------------------------------------------------------
-
-def test_measure_noiseless_identity():
-    s = equilibrium_state()
-    assert measure(s) == (s.x2, s.x3, s.x4, s.x5)
-
-
-def test_measure_deterministic_given_seed():
-    s = equilibrium_state()
-    std = (1e4, 1e4, 1e4, 1e-5)
-    assert measure(s, std, rng=42) == measure(s, std, rng=42)
-
-
-def test_measure_requires_rng_for_noise():
-    with pytest.raises(ValueError):
-        measure(equilibrium_state(), (1e4, 0, 0, 0))
-
-
-def test_measure_noise_is_zero_mean():
-    s = equilibrium_state()
-    std = (1e4, 1e4, 1e4, 1e-5)
-    rng = np.random.default_rng(123)
-    n = 100_000
-    acc = np.zeros(4)
-    truth = np.array([s.x2, s.x3, s.x4, s.x5])
-    for _ in range(n):
-        acc += np.array(measure(s, std, rng=rng)) - truth
-    mean = acc / n
-    bound = 3.0 * np.array(std) / math.sqrt(n)
-    assert np.all(np.abs(mean) < bound)
