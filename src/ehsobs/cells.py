@@ -10,7 +10,9 @@ an injection signal for one observer channel.  Three laws are provided:
 * first-order relay: plain sign scaling (the classic chattering baseline).
 
 Cells are value objects and the step functions are pure: they return the
-injection and a new cell state, never mutating their inputs.
+injection and a new cell state, never mutating their inputs.  As in
+`plant`, tuning constants are frozen dataclasses and the per-sample cell
+state is a NamedTuple.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ class AstwCellParams:
             raise ValueError("AstwCellParams.L1_init must exceed L_floor")
 
 
-@dataclass(frozen=True)
-class AstwCellState:
+class AstwCellState(NamedTuple):
     """State of one injection cell: adaptive gain and integral term."""
 
     L1: float
@@ -103,7 +104,7 @@ def astw_step(cell: AstwCellState, sigma: float, p: AstwCellParams,
     L2 = p.lambda1 * L1
     nu = cell.nu + dt * L2 * sign(sigma)
     mu = L1 * sqrt_sign(sigma) + nu
-    return mu, AstwCellState(L1=L1, nu=nu)
+    return mu, AstwCellState(L1, nu)
 
 
 def stw_step(cell: AstwCellState, sigma: float, L1_fixed: float,
@@ -115,7 +116,7 @@ def stw_step(cell: AstwCellState, sigma: float, L1_fixed: float,
         raise ValueError("fixed gains must be > 0")
     nu = cell.nu + dt * L2_fixed * sign(sigma)
     mu = L1_fixed * sqrt_sign(sigma) + nu
-    return mu, AstwCellState(L1=L1_fixed, nu=nu)
+    return mu, AstwCellState(L1_fixed, nu)
 
 
 def fosmo_step(sigma: float, rho_gain: float) -> float:

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import types
+import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
@@ -45,6 +46,10 @@ TWO_PI = 2.0 * math.pi
 
 U1_RANGE = (-10.0, 10.0)
 U2_RANGE = (0.0, 5.0)
+
+# A run holds ~0.5 kB of trace and noise buffers per record, so this
+# ceiling (2.8 h of simulated time at 1 ms) bounds a run at ~5 GB.
+MAX_RECORDS = 10**7
 
 
 class ConfigError(ValueError):
@@ -184,6 +189,9 @@ class Scenario:
             raise ConfigError("duration must be >= dt")
         if not math.isfinite(self.duration / self.dt):
             raise ConfigError("duration / dt gives no finite record count")
+        if self.n_records() > MAX_RECORDS:
+            raise ConfigError(f"duration / dt gives {self.n_records():.9g} records, "
+                              f"more than the {MAX_RECORDS} a run may hold")
         if self.substeps < 1:
             raise ConfigError("substeps must be >= 1")
         if self.seed < 0:
@@ -226,11 +234,11 @@ class Scenario:
                 delta += fw.Delta
         delta += self.supply_uncertainty.value(t)
         f_d += self.force_disturbance.value(t)
-        return FaultInputs(C_i=C_i, C_e1=C_e1, C_e2=C_e2, f_d=f_d, Delta=delta)
+        return FaultInputs(C_i, C_e1, C_e2, f_d, delta)
 
 
 class TraceRecord(NamedTuple):
-    """One logged sample; the CSV header is exactly these fields in order."""
+    """Column schema: the CSV header, in order, of the plain-tuple records."""
 
     t: float
     x1: float
@@ -301,13 +309,22 @@ class SimTrace:
 
     @classmethod
     def read_csv(cls, path) -> "SimTrace":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header.split(",") != list(TRACE_COLUMNS):
-                raise ConfigError(f"{path}: trace header does not match the fixed schema")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.shape[1] != len(TRACE_COLUMNS):
-            raise ConfigError(f"{path}: expected {len(TRACE_COLUMNS)} columns")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                header = fh.readline().strip()
+                if header.split(",") != list(TRACE_COLUMNS):
+                    raise ConfigError(f"{path}: trace header does not match the fixed schema")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no rows: rejected below
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ConfigError:  # a ValueError too; pass it through unwrapped
+            raise
+        except OSError as exc:
+            raise ConfigError(f"cannot read trace file: {exc}") from exc
+        except ValueError as exc:  # ragged rows, non-numeric cells, undecodable bytes
+            raise ConfigError(f"{path}: malformed trace: {exc}") from exc
+        if data.shape[0] == 0 or data.shape[1] != len(TRACE_COLUMNS):
+            raise ConfigError(f"{path}: no rows of {len(TRACE_COLUMNS)} columns")
         return cls(data=data)
 
 
@@ -334,11 +351,10 @@ def pi_controllers(y: tuple[float, float, float, float],
         u2, i_sup = U2_RANGE[1], integrators[1]
     elif u2 < U2_RANGE[0]:
         u2, i_sup = U2_RANGE[0], integrators[1]
-    return ControlInputs(u1=u1, u2=u2), (i_pos, i_sup)
+    return ControlInputs(u1, u2), (i_pos, i_sup)
 
 
-@dataclass
-class LoopState:
+class LoopState(NamedTuple):
     """Everything that persists across closed-loop steps."""
 
     plant: PlantState
@@ -351,61 +367,56 @@ class LoopState:
 
 def step_closed_loop(state: LoopState, scenario: Scenario, t: float,
                      noise_row: tuple[float, float, float, float],
-                     advance: bool = True) -> tuple[LoopState, TraceRecord]:
+                     advance: bool = True) -> tuple[LoopState, tuple[float, ...]]:
     """One sample interval: measure, control, observe, reconstruct, advance.
 
-    The returned record holds the pre-advance plant state and estimates at
-    time t together with the injections and gains produced at this step.
-    With advance=False the plant and observer are left at time t (used for
-    the final record of a run).
+    The record, a tuple in TRACE_COLUMNS order, holds the pre-advance plant
+    state and estimates at time t with the injections and gains of this
+    step.  With advance=False the plant and observer are left at time t
+    (used for the final record of a run).
     """
     sc = scenario
     p = sc.plant
-    x = state.plant
+    x, obs, integrators, mu_eq1, mu_eq2, rho4_filt = state
+    dt = sc.dt
     faults = sc.fault_inputs(t)
     y = (x.x2 + noise_row[0], x.x3 + noise_row[1],
          x.x4 + noise_row[2], x.x5 + noise_row[3])
     setpoints = (sc.position_profile.setpoint(t), sc.supply_setpoint)
-    u, integrators = pi_controllers(y, setpoints, sc.controller,
-                                    state.integrators, sc.dt)
-    obs = state.observer
+    u, integrators = pi_controllers(y, setpoints, sc.controller, integrators, dt)
     if obs is None:
         obs = init_observer(sc.observer, y)
-    obs_next, inj = observer_step(obs, y, u, p, sc.observer, sc.dt, sc.substeps)
+    obs_next, inj = observer_step(obs, y, u, p, sc.observer, dt, sc.substeps)
+    sigma, mu, L1, L2 = inj
 
     tau = sc.reconstruction_tau
-    mu_eq1 = lowpass_step(state.mu_eq1, inj.mu[0], sc.dt, tau)
-    mu_eq2 = lowpass_step(state.mu_eq2, inj.mu[1], sc.dt, tau)
-    rho4_filt = lowpass_step(state.rho4_filt, inj.mu[3], sc.dt, tau)
+    mu_eq1 = lowpass_step(mu_eq1, mu[0], dt, tau)
+    mu_eq2 = lowpass_step(mu_eq2, mu[1], dt, tau)
+    rho4_filt = lowpass_step(rho4_filt, mu[3], dt, tau)
     f1_hat = mu_eq1 * (p.V01 + p.A1 * y[3]) / p.beta
     f2_hat = mu_eq2 * (p.V02 - p.A2 * y[3]) / p.beta
 
     QL1, QL2 = leakage_flows(x.x2, x.x3, p.P_T, faults)
-    record = TraceRecord(
-        t, x.x1, x.x2, x.x3, x.x4, x.x5, x.x6,
-        y[0], y[1], y[2], y[3],
-        obs.z1_hat, obs.y1_hat, obs.y2_hat, obs.y3_hat, obs.y4_hat, obs.z2_hat,
-        inj.sigma[0], inj.sigma[1], inj.sigma[2], inj.sigma[3],
-        inj.mu[0], inj.mu[1], inj.mu[2], inj.mu[3],
-        inj.L1[0], inj.L1[1], inj.L1[2], inj.L1[3],
-        inj.L2[0], inj.L2[1], inj.L2[2], inj.L2[3],
-        QL1, QL2, faults.f_d,
-        f1_hat, f2_hat, rho4_filt,
-        u.u1, u.u2,
-    )
+    record = (t, *x, *y, *obs.estimates(), *sigma, *mu, *L1, *L2,
+              QL1, QL2, faults.f_d, f1_hat, f2_hat, rho4_filt, *u)
 
     if advance:
-        plant_next = advance_plant(x, u, faults, p, sc.dt, sc.substeps)
-        for name, value in (("plant", plant_next.as_tuple()),
-                            ("observer", obs_next.estimates())):
-            if not all(map(math.isfinite, value)):
-                raise NumericalAbort(t, f"{name} state diverged")
+        plant_next = advance_plant(x, u, faults, p, dt, sc.substeps)
+        state_next = (*plant_next, *obs_next.estimates())
+        if not all(map(math.isfinite, state_next)):
+            raise NumericalAbort(t, _first_non_finite((*x, *obs.estimates()), state_next))
     else:
         plant_next = x
         obs_next = obs
-    new = LoopState(plant=plant_next, observer=obs_next, integrators=integrators,
-                    mu_eq1=mu_eq1, mu_eq2=mu_eq2, rho4_filt=rho4_filt)
-    return new, record
+    return LoopState(plant_next, obs_next, integrators, mu_eq1, mu_eq2, rho4_filt), record
+
+
+def _first_non_finite(before: tuple[float, ...], after: tuple[float, ...]) -> str:
+    """Name the first plant or observer state component that went non-finite."""
+    names = ([f"plant.{n}" for n in PlantState._fields]
+             + [f"observer.{n}" for n in ObserverState._fields[:6]])
+    i = next(i for i, value in enumerate(after) if not math.isfinite(value))
+    return f"{names[i]} (last finite {before[i]:.6g})"
 
 
 def run_scenario(scenario: Scenario, observer_kind: str | None = None,
@@ -429,7 +440,7 @@ def run_scenario(scenario: Scenario, observer_kind: str | None = None,
 
     # supply integrator preloaded so the run starts at the pressure setpoint
     i_sup0 = sc.supply_setpoint / sc.plant.K_r
-    state = LoopState(plant=sc.initial_state.to_state(), integrators=(0.0, i_sup0))
+    state = LoopState(sc.initial_state.to_state(), None, (0.0, i_sup0))
 
     dt = sc.dt
     rows = np.empty((n, len(TRACE_COLUMNS)))

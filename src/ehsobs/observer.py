@@ -14,12 +14,15 @@ for the chamber volumes - always come from the sensors, only the spool and
 velocity enter through their estimates.  The unknown disturbance force is
 deliberately absent from the velocity line; it is exactly what the channel-4
 injection has to absorb, which is what makes it reconstructable.
+Configuration blocks are frozen dataclasses; the observer state and the
+injection record, built on every sample, are NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cells import (
     AstwCellParams,
@@ -116,8 +119,7 @@ class ObserverConfig:
         return tuple(cp.epsilon for cp in self.astw)
 
 
-@dataclass(frozen=True)
-class ObserverState:
+class ObserverState(NamedTuple):
     """Estimates plus the four injection-cell states."""
 
     z1_hat: float
@@ -129,12 +131,10 @@ class ObserverState:
     cells: tuple[AstwCellState, AstwCellState, AstwCellState, AstwCellState]
 
     def estimates(self) -> tuple[float, float, float, float, float, float]:
-        return (self.z1_hat, self.y1_hat, self.y2_hat,
-                self.y3_hat, self.y4_hat, self.z2_hat)
+        return self[:6]
 
 
-@dataclass(frozen=True)
-class ChannelInjections:
+class ChannelInjections(NamedTuple):
     """Per-step record of what each channel did.
 
     mu[0..2] are the full injections added to the pressure lines; mu[3] is
@@ -192,12 +192,12 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
     if dt <= 0.0 or substeps < 1:
         raise ValueError("dt must be > 0 and substeps >= 1")
     y1, y2, y3, y4 = y
-    s1 = y1 - obs.y1_hat
-    s2 = y2 - obs.y2_hat
-    s3 = y3 - obs.y3_hat
-    s4 = y4 - obs.y4_hat
+    z1, yh1, yh2, yh3, yh4, z2, (c1, c2, c3, c4) = obs
+    s1 = y1 - yh1
+    s2 = y2 - yh2
+    s3 = y3 - yh3
+    s4 = y4 - yh4
 
-    c1, c2, c3, c4 = obs.cells
     kind = cfg.kind
     if kind == "astw":
         p1, p2, p3, p4 = cfg.astw
@@ -239,9 +239,6 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
     g_1 = p.beta / v1
     g_2 = p.beta / v2
 
-    z1 = obs.z1_hat
-    yh1, yh2, yh3, yh4 = obs.y1_hat, obs.y2_hat, obs.y3_hat, obs.y4_hat
-    z2 = obs.z2_hat
     h = dt / substeps
     tau_v, K_v, tau_s, K_r = p.tau_v, p.K_v, p.tau_s, p.K_r
     A1, A2, m, c, PT = p.A1, p.A2, p.m, p.c, p.P_T
@@ -275,13 +272,8 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
         yh4 += h * dy4
         z2 += h * dz2
 
-    cells = (c1, c2, c3, replace(c4, L1=L1_4))
-    new = ObserverState(z1_hat=z1, y1_hat=yh1, y2_hat=yh2, y3_hat=yh3,
-                        y4_hat=yh4, z2_hat=z2, cells=cells)
-    inj = ChannelInjections(
-        sigma=(s1, s2, s3, s4),
-        mu=(mu_1, mu_2, mu_3, mu4_vel),
-        L1=(c1.L1, c2.L1, c3.L1, L1_4),
-        L2=(L2_1, L2_2, L2_3, L2_4),
-    )
+    new = ObserverState(z1, yh1, yh2, yh3, yh4, z2,
+                        (c1, c2, c3, AstwCellState(L1_4, c4.nu)))
+    inj = ChannelInjections((s1, s2, s3, s4), (mu_1, mu_2, mu_3, mu4_vel),
+                            (c1.L1, c2.L1, c3.L1, L1_4), (L2_1, L2_2, L2_3, L2_4))
     return new, inj

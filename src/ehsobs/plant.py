@@ -14,13 +14,17 @@ equivalent mass/damper load.  Six states:
 
 Leakage faults (internal across the piston seal, external to tank) and a
 disturbance force on the cylinder enter through `FaultInputs`.  All
-operations are pure functions over value data.
+operations are pure functions over value data.  Parameter blocks that a
+scenario file holds are frozen dataclasses, walked by the scenario codec;
+values built on every sample (`PlantState`, `FaultInputs`,
+`ControlInputs`) are NamedTuples, which are cheaper to build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class DomainViolation(ValueError):
@@ -78,8 +82,7 @@ class PlantParams:
             raise ValueError("rod-side chamber volume collapses within the stroke")
 
 
-@dataclass
-class PlantState:
+class PlantState(NamedTuple):
     """Plant state vector; pressures in Pa, lengths in m."""
 
     x1: float = 0.0
@@ -90,11 +93,10 @@ class PlantState:
     x6: float = 0.0
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (self.x1, self.x2, self.x3, self.x4, self.x5, self.x6)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class FaultInputs:
+class FaultInputs(NamedTuple):
     """Leakage coefficients, disturbance force and supply-rate uncertainty.
 
     C_i couples the two chambers (internal leakage), C_e1/C_e2 drain each
@@ -108,13 +110,8 @@ class FaultInputs:
     f_d: float = 0.0     # disturbance/friction force [N]
     Delta: float = 0.0   # supply-pressure-rate uncertainty [Pa/s]
 
-    def validate(self) -> None:
-        if self.C_i < 0.0 or self.C_e1 < 0.0 or self.C_e2 < 0.0:
-            raise ValueError("leakage coefficients must be >= 0")
 
-
-@dataclass(frozen=True)
-class ControlInputs:
+class ControlInputs(NamedTuple):
     """Valve drive voltages: u1 for the PDV (+-10 V), u2 for the PRV (0..5 V)."""
 
     u1: float = 0.0
@@ -193,7 +190,7 @@ def advance_plant(s: PlantState, u: ControlInputs, f: FaultInputs,
     if dt <= 0.0 or substeps < 1:
         raise ValueError("dt must be > 0 and substeps >= 1")
     h = dt / substeps
-    x1, x2, x3, x4, x5, x6 = s.as_tuple()
+    x1, x2, x3, x4, x5, x6 = s
     u1, u2 = u.u1, u.u2
     tau_v, K_v, tau_s, K_r = p.tau_v, p.K_v, p.tau_s, p.K_r
     A1, A2, m, c, PT, stroke = p.A1, p.A2, p.m, p.c, p.P_T, p.stroke

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,10 @@ MALFORMED = {
     "record-count-overflow": ("duration / dt",
                               json.dumps({**_short_dict(), "duration": 1e308,
                                           "dt": 1e-308})),
+    "record-count-1e300": ("duration / dt gives 1e+303 records",
+                           json.dumps(_with(("duration",), 1e300))),
+    "record-count-1e12": ("duration / dt gives 1e+15 records",
+                          json.dumps(_with(("duration",), 1e12))),
     "derived-overflow": ("plant: out of range",
                          json.dumps(_with(("plant", "d1"), 1e200))),
     "tuple-length": ("observer.fosmo.rho: expected 4 entries",
@@ -171,6 +176,33 @@ def test_report_from_trace(tmp_path, capsys):
     assert payload["window"] == [0.2, 1.0]
     assert payload["channels"]["e_y1"]["l1"] >= 0.0
     assert payload["channels"]["e_y1"]["reach_time"] == 0.0
+
+
+# case -> (edit of the lines of a valid 51-record trace, text the error contains)
+MALFORMED_TRACES = {
+    "ragged-row": (lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]],
+                   "malformed trace"),
+    "non-numeric-cell": (lambda lines: [*lines[:2], "abc," + lines[2].split(",", 1)[1],
+                                        *lines[3:]],
+                         "malformed trace"),
+    "header-only": (lambda lines: lines[:1], "no rows of 41 columns"),
+    "missing-file": (None, "cannot read trace file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+def test_report_malformed_trace_exits_2(case, tmp_path, capsys):
+    edit, message = MALFORMED_TRACES[case]
+    path = tmp_path / "trace.csv"
+    if edit is not None:
+        run_scenario(replace(nofault_scenario(), duration=0.05)).write_csv(path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["report", "--trace", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_report_bad_window_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from ehsobs.harness import (
     FaultWindow,
     InitialPlantState,
     LoopState,
+    MAX_RECORDS,
     NumericalAbort,
     PositionProfile,
     Scenario,
@@ -78,6 +81,15 @@ def test_scenario_validation_errors():
                 initial_state=InitialPlantState(xc=0.5)).validate()
     with pytest.raises(ConfigError):
         replace(default_scenario(), reconstruction_tau=1e-4).validate()
+
+
+def test_record_count_ceiling():
+    # validate only: a run this long would allocate gigabytes
+    at_ceiling = replace(default_scenario(), duration=(MAX_RECORDS - 1) * 1e-3)
+    assert at_ceiling.n_records() == MAX_RECORDS
+    at_ceiling.validate()
+    with pytest.raises(ConfigError, match=f"gives {MAX_RECORDS + 1} records"):
+        replace(default_scenario(), duration=MAX_RECORDS * 1e-3).validate()
 
 
 def test_fault_inputs_step_quantized():
@@ -216,6 +228,43 @@ def test_trace_rejects_foreign_header(tmp_path):
         SimTrace.read_csv(path)
 
 
+@pytest.fixture(scope="session")
+def three_row_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    run_scenario(replace(nofault_scenario(), duration=0.002)).write_csv(path)
+    text = path.read_text(encoding="utf-8")
+    assert len(text.splitlines()) == 4
+    return text
+
+
+def _reads_or_config_error(text: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "trace.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            assert isinstance(SimTrace.read_csv(path), SimTrace)
+        except ConfigError:
+            pass
+
+
+@given(st.data())
+def test_truncated_trace_reads_or_raises_config_error(three_row_csv, data):
+    _reads_or_config_error(three_row_csv[:data.draw(st.integers(0, len(three_row_csv)))])
+
+
+@given(row=st.integers(1, 3), column=st.integers(0, 40), text=st.none() | st.text())
+def test_edited_trace_cell_reads_or_raises_config_error(three_row_csv, row, column, text):
+    lines = three_row_csv.splitlines()
+    cells = lines[row].split(",")
+    if text is None:
+        del cells[column]
+    else:
+        cells[column] = text
+    lines[row] = ",".join(cells)
+    _reads_or_config_error("\n".join(lines) + "\n")
+
+
 # --- closed-loop runs ----------------------------------------------------------
 
 def test_record_count():
@@ -289,6 +338,9 @@ def test_numerical_abort_carries_time():
     with pytest.raises(NumericalAbort) as err:
         run_scenario(sc)
     assert err.value.t >= 0.0
+    # names the first non-finite component and its value one sample earlier
+    assert err.value.detail.startswith(("plant.x", "observer."))
+    assert "(last finite " in err.value.detail
 
 
 def test_step_closed_loop_single_step_matches_run(fault_scenario):

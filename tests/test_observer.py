@@ -92,7 +92,7 @@ def test_exact_initialization_matches_plant_step():
     cfg = nofault_scenario().observer
     y = (s.x2, s.x3, s.x4, s.x5)
     obs = init_observer(cfg, y)
-    obs = replace(obs, z1_hat=s.x1, z2_hat=s.x6)
+    obs = obs._replace(z1_hat=s.x1, z2_hat=s.x6)
     nxt_obs, inj = observer_step(obs, y, u, P, cfg, dt=1e-4, substeps=1)
     nxt_plant = advance_plant(s, u, FaultInputs(), P, dt=1e-4, substeps=1)
     assert inj.sigma == (0.0, 0.0, 0.0, 0.0)
