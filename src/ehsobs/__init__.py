@@ -29,13 +29,12 @@ from .harness import (
     ConfigError,
     ControllerGains,
     FaultWindow,
-    ForceDisturbance,
     InitialPlantState,
     NoiseStd,
     NumericalAbort,
     PositionProfile,
     Scenario,
-    SupplyUncertainty,
+    Sinusoid,
     SimTrace,
     TRACE_COLUMNS,
     default_scenario,
@@ -72,12 +71,9 @@ from .plant import (
 )
 from .reconstruction import (
     FaultEstimate,
-    equivalent_injection,
     estimate_faults,
     lowpass,
-    reconstruct_cylinder_perturbation,
     reconstruct_faults,
-    sliding_onset,
 )
 
 __version__ = "0.1.0"

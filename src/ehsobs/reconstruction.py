@@ -4,11 +4,12 @@ Once a channel is in sliding motion its injection signal equals, on average,
 the perturbation it cancels.  Low-pass filtering extracts that average (the
 equivalent injection); dividing the pressure-channel injections by the
 chamber pressure-rate coefficients turns them into leakage-flow estimates,
-and the velocity-line injection directly estimates the lumped cylinder
-perturbation (disturbance force over mass plus residual damping mismatch).
+and the filtered velocity-line injection directly estimates the lumped
+cylinder perturbation (disturbance force over mass plus residual damping
+mismatch).
 
 Estimates are only meaningful once sliding motion holds, which is detected
-with a dwell test on the sliding variable.
+with a dwell test on the sliding variable (analysis.reach_time).
 """
 
 from __future__ import annotations
@@ -21,47 +22,25 @@ from .analysis import reach_time
 from .plant import DomainViolation, PlantParams
 
 
-def lowpass(x, dt: float, tau: float) -> np.ndarray:
-    """First-order low-pass of a uniformly sampled series, starting from rest.
-
-    tau = 0 bypasses the filter.  tau in (0, dt) would make the recursion
-    unstable and is rejected.
-    """
-    x = np.asarray(x, dtype=float)
-    if tau == 0.0:
-        return x.copy()
-    if tau < 0.0:
-        raise ValueError("filter tau must be >= 0")
-    if tau < dt:
-        raise ValueError("filter tau must be at least the sample interval")
-    a = dt / tau
-    out = np.empty_like(x)
-    acc = 0.0
-    for i, xi in enumerate(x):
-        acc += a * (xi - acc)
-        out[i] = acc
-    return out
-
-
 def lowpass_step(state: float, x: float, dt: float, tau: float) -> float:
-    """Single update of the same recursion, for use inside a running loop."""
-    if tau == 0.0:
-        return x
+    """One update of the first-order low-pass recursion (tau >= dt)."""
     return state + (dt / tau) * (x - state)
 
 
-def equivalent_injection(mu_trace, dt: float, filter_tau: float,
-                         relay: bool = False) -> np.ndarray:
-    """Extract the equivalent injection from a logged injection series.
+def lowpass(x, dt: float, tau: float) -> np.ndarray:
+    """First-order low-pass of a uniformly sampled series, starting from rest.
 
-    Super-twisting injections are already continuous, so filtering is
-    optional there (filter_tau = 0 is the identity).  Relay injections
-    carry their information in the switching duty cycle and must be
-    filtered: filter_tau = 0 is rejected when relay=True.
+    tau below dt would make the recursion unstable and is rejected.
     """
-    if relay and filter_tau <= 0.0:
-        raise ValueError("relay injections require filter_tau > 0")
-    return lowpass(mu_trace, dt, filter_tau)
+    if not tau >= dt:
+        raise ValueError("filter tau must be at least the sample interval")
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    acc = 0.0
+    for i, xi in enumerate(x):
+        acc = lowpass_step(acc, xi, dt, tau)
+        out[i] = acc
+    return out
 
 
 def reconstruct_faults(mu_eq_1, mu_eq_2, y4, p: PlantParams):
@@ -84,25 +63,7 @@ def reconstruct_faults(mu_eq_1, mu_eq_2, y4, p: PlantParams):
     return f1_hat, f2_hat
 
 
-def reconstruct_cylinder_perturbation(mu4_trace, dt: float,
-                                      filter_tau: float) -> np.ndarray:
-    """Low-pass the velocity-line sign injection into a perturbation estimate.
-
-    During channel-4 sliding the result equals the lumped cylinder
-    perturbation in acceleration units; multiplying by the moving mass gives
-    the disturbance-force estimate.
-    """
-    if filter_tau <= 0.0:
-        raise ValueError("the velocity-line injection is a relay; filter_tau must be > 0")
-    return lowpass(mu4_trace, dt, filter_tau)
-
-
 SLIDING_DWELL = 100  # consecutive in-band samples before estimates count as valid
-
-
-def sliding_onset(t, sigma, epsilon: float, dwell: int = SLIDING_DWELL) -> float | None:
-    """Time at which |sigma| first stays below epsilon for `dwell` samples."""
-    return reach_time(t, sigma, epsilon, dwell)
 
 
 @dataclass(frozen=True)
@@ -127,28 +88,25 @@ class FaultEstimate:
         return self.t >= onset
 
 
-def estimate_faults(t, mu1_trace, mu2_trace, mu4_trace, y4, sigma1, sigma2,
-                    sigma4, p: PlantParams,
-                    epsilon: tuple[float, float, float],
-                    filter_tau: float = 0.02, dwell: int = SLIDING_DWELL,
-                    relay: bool = False) -> FaultEstimate:
-    """Offline reconstruction pipeline over logged channel traces.
+def estimate_faults(trace, scenario, dwell: int = SLIDING_DWELL) -> FaultEstimate:
+    """Offline reconstruction over a logged trace (a SimTrace or any mapping
+    from column names to arrays).
 
-    epsilon holds the sliding-detection bands for channels 1, 2 and 4.
+    The filter constant, sample interval and plant come from the scenario,
+    so the result equals the trace's online f1_hat, f2_hat and rho4_hat
+    columns bit for bit.  Sliding onset is dwell-tested against the adaptive
+    dead-bands of channels 1, 2 and 4; a scenario without an adaptive block
+    has none, and every valid_from entry is then None.
     """
-    t = np.asarray(t, dtype=float)
-    if len(t) < 2:
-        raise ValueError("need at least two samples")
-    dt = float(t[1] - t[0])
-    mu_eq_1 = equivalent_injection(mu1_trace, dt, filter_tau, relay=relay)
-    mu_eq_2 = equivalent_injection(mu2_trace, dt, filter_tau, relay=relay)
-    f1_hat, f2_hat = reconstruct_faults(mu_eq_1, mu_eq_2, y4, p)
-    rho4_hat = reconstruct_cylinder_perturbation(
-        mu4_trace, dt, filter_tau if filter_tau > 0.0 else 0.02)
+    dt, tau = scenario.dt, scenario.reconstruction_tau
+    f1_hat, f2_hat = reconstruct_faults(lowpass(trace["mu1"], dt, tau),
+                                        lowpass(trace["mu2"], dt, tau),
+                                        trace["y4"], scenario.plant)
+    t = np.asarray(trace["t"], dtype=float)
+    eps = scenario.observer.epsilons()
     valid_from = {
-        "f1": sliding_onset(t, sigma1, epsilon[0], dwell),
-        "f2": sliding_onset(t, sigma2, epsilon[1], dwell),
-        "rho4": sliding_onset(t, sigma4, epsilon[2], dwell),
+        name: None if eps is None else reach_time(t, trace[f"sigma{ch}"], eps[ch - 1], dwell)
+        for name, ch in (("f1", 1), ("f2", 2), ("rho4", 4))
     }
     return FaultEstimate(t=t, f1_hat=f1_hat, f2_hat=f2_hat,
-                         rho4_hat=rho4_hat, valid_from=valid_from)
+                         rho4_hat=lowpass(trace["mu4"], dt, tau), valid_from=valid_from)

@@ -105,6 +105,11 @@ MALFORMED = {
                      json.dumps(_with(("observer", "fosmo", "rho"), [1.0, 1.0, 1.0]))),
     "missing-key": ("missing key 'observer.stw[1].L2'",
                     json.dumps(_with(("observer", "stw", 1), {"L1": 1.0}))),
+    "reconstruction-tau-zero": ("reconstruction_tau must be >= dt",
+                                json.dumps(_with(("reconstruction_tau",), 0))),
+    "fault-negative-leak": ("faults[0].C_i",
+                            json.dumps(_with(("faults",), [{"t_start": 0.0, "t_end": 0.05,
+                                                            "C_i": -1e-9}]))),
 }
 
 

@@ -81,6 +81,18 @@ def test_scenario_validation_errors():
                 initial_state=InitialPlantState(xc=0.5)).validate()
     with pytest.raises(ConfigError):
         replace(default_scenario(), reconstruction_tau=1e-4).validate()
+    with pytest.raises(ConfigError):
+        replace(default_scenario(), reconstruction_tau=0.0).validate()
+    for name in ("C_i", "C_e1", "C_e2"):
+        leak = FaultWindow(t_start=0.0, t_end=1.0, **{name: -1e-9})
+        with pytest.raises(ConfigError, match=rf"^faults\[1\]\.{name}: "):
+            replace(default_scenario(), faults=(FaultWindow(0.0, 1.0), leak)).validate()
+
+
+def test_signed_fault_inputs_accepted():
+    # a disturbance force and a supply-rate delta act in either direction
+    fw = FaultWindow(t_start=0.0, t_end=1.0, f_d=-3.0, Delta=-1e5)
+    replace(default_scenario(), faults=(fw,)).validate()
 
 
 def test_record_count_ceiling():

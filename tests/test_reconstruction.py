@@ -4,17 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ehsobs.harness import FaultWindow, default_scenario, nofault_scenario, run_scenario
+from ehsobs.analysis import reach_time
+from ehsobs.harness import (
+    FaultWindow,
+    Sinusoid,
+    default_scenario,
+    nofault_scenario,
+    noisy_scenario,
+    run_scenario,
+)
 from ehsobs.observer import InitialEstimates
 from ehsobs.plant import DomainViolation, PlantParams
 from ehsobs.reconstruction import (
-    equivalent_injection,
+    SLIDING_DWELL,
     estimate_faults,
     lowpass,
     lowpass_step,
-    reconstruct_cylinder_perturbation,
     reconstruct_faults,
-    sliding_onset,
 )
 
 P = PlantParams()
@@ -29,13 +35,16 @@ def test_lowpass_dc_gain():
     assert y[-1] == pytest.approx(5.0, rel=1e-9)
 
 
-def test_lowpass_bypass_and_guards():
+def test_lowpass_guards():
     x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(lowpass(x, 1e-3, 0.0), x)
+    with pytest.raises(ValueError):
+        lowpass(x, 1e-3, 0.0)  # tau = 0 is below the sample interval too
     with pytest.raises(ValueError):
         lowpass(x, 1e-3, 1e-4)  # tau below the sample interval
     with pytest.raises(ValueError):
         lowpass(x, 1e-3, -1.0)
+    with pytest.raises(ValueError):
+        lowpass(x, 1e-3, math.nan)
 
 
 def test_lowpass_step_matches_batch():
@@ -48,19 +57,11 @@ def test_lowpass_step_matches_batch():
         assert acc == batch[i]
 
 
-def test_equivalent_injection_relay_needs_filter():
-    x = np.ones(10)
-    with pytest.raises(ValueError):
-        equivalent_injection(x, 1e-3, 0.0, relay=True)
-    out = equivalent_injection(x, 1e-3, 0.0, relay=False)
-    assert np.array_equal(out, x)
-
-
 def test_equivalent_injection_averages_relay_chatter():
     # 50% duty relay at the sample rate averages to (near) zero
     n = 4000
     mu = 3.0 * (-1.0) ** np.arange(n)
-    out = equivalent_injection(mu, 1e-3, 0.02, relay=True)
+    out = lowpass(mu, 1e-3, 0.02)
     assert abs(np.mean(out[200:])) < 0.01
     assert np.max(np.abs(out[200:])) < 0.12  # residual ripple only
 
@@ -79,34 +80,43 @@ def test_reconstruct_faults_domain_violation():
         reconstruct_faults(np.zeros(3), np.zeros(3), np.array([0.0, 0.1, 1.0]), P)
 
 
-def test_reconstruct_cylinder_perturbation_requires_filter():
-    with pytest.raises(ValueError):
-        reconstruct_cylinder_perturbation(np.ones(5), 1e-3, 0.0)
-
-
 def test_sliding_onset_dwell():
     t = np.arange(0.0, 1.0, 1e-3)
     sigma = np.where(t < 0.4, 1.0, 1e-6)
-    assert sliding_onset(t, sigma, 1e-3, dwell=100) == pytest.approx(0.4, abs=2e-3)
-    assert sliding_onset(t, np.ones_like(t), 1e-3) is None
+    assert reach_time(t, sigma, 1e-3, dwell=100) == pytest.approx(0.4, abs=2e-3)
+    assert reach_time(t, np.ones_like(t), 1e-3, SLIDING_DWELL) is None
 
 
-def test_estimate_faults_pipeline_matches_online_columns(fault_trace, fault_scenario):
+# (trace fixture, scenario it was run from); the stw and fosmo traces come
+# from the default scenario with only the observer kind overridden
+ONLINE_TRACES = {
+    "fault_trace": default_scenario,
+    "stw_trace": default_scenario,
+    "fosmo_trace": default_scenario,
+    "noisy_trace": noisy_scenario,
+}
+
+
+@pytest.mark.parametrize("trace_fixture", sorted(ONLINE_TRACES))
+def test_estimate_faults_pipeline_matches_online_columns(trace_fixture, request):
     # the offline pipeline over logged injections reproduces the harness's
     # online reconstruction columns exactly (same recursion, same start)
-    sc = fault_scenario
-    eps = sc.observer.epsilons()
-    est = estimate_faults(
-        fault_trace["t"], fault_trace["mu1"], fault_trace["mu2"],
-        fault_trace["mu4"], fault_trace["y4"],
-        fault_trace["sigma1"], fault_trace["sigma2"], fault_trace["sigma4"],
-        sc.plant, epsilon=(eps[0], eps[1], eps[3]),
-        filter_tau=sc.reconstruction_tau)
-    assert np.allclose(est.f1_hat, fault_trace["f1_hat"], rtol=1e-12, atol=1e-18)
-    assert np.allclose(est.f2_hat, fault_trace["f2_hat"], rtol=1e-12, atol=1e-18)
-    assert np.allclose(est.rho4_hat, fault_trace["rho4_hat"], rtol=1e-12, atol=1e-18)
-    assert est.valid_from["f1"] == 0.0
-    assert est.valid_mask("f1").all()
+    trace = request.getfixturevalue(trace_fixture)
+    est = estimate_faults(trace, ONLINE_TRACES[trace_fixture]())
+    assert np.array_equal(est.f1_hat, trace["f1_hat"])
+    assert np.array_equal(est.f2_hat, trace["f2_hat"])
+    assert np.array_equal(est.rho4_hat, trace["rho4_hat"])
+    if trace_fixture == "fault_trace":
+        assert est.valid_from["f1"] == 0.0
+        assert est.valid_mask("f1").all()
+
+
+def test_estimate_faults_without_dead_bands(fault_trace, fault_scenario):
+    sc = replace(fault_scenario, observer=replace(fault_scenario.observer,
+                                                  kind="stw", astw=None))
+    est = estimate_faults(fault_trace, sc)
+    assert est.valid_from == {"f1": None, "f2": None, "rho4": None}
+    assert not est.valid_mask("rho4").any()
 
 
 def test_zero_fault_baseline_estimates_are_zero_mean(nofault_trace):
@@ -125,15 +135,12 @@ def test_supply_uncertainty_lands_in_channel_3():
     # a sinusoidal supply-rate uncertainty is absorbed by the channel-3
     # injection, whose equivalent (filtered) value tracks it; the dead-band
     # is tightened so the in-band drift stays small against the signal
-    from ehsobs.harness import SupplyUncertainty
-    from ehsobs.reconstruction import lowpass
-
     base = default_scenario()
     cells = list(base.observer.astw)
     cells[2] = replace(cells[2], epsilon=5e3)
     sc = replace(base, duration=6.0, faults=(),
                  observer=replace(base.observer, astw=tuple(cells)),
-                 supply_uncertainty=SupplyUncertainty(amplitude=5e5, frequency_hz=1.0))
+                 supply_uncertainty=Sinusoid(amplitude=5e5, frequency_hz=1.0))
     tr = run_scenario(sc)
     t = tr["t"]
     assert np.abs(tr["sigma3"]).max() < 10 * 5e3
@@ -187,9 +194,8 @@ def test_constant_force_disturbance_reconstruction():
 
 
 def test_sinusoidal_force_disturbance_tracking():
-    from ehsobs.harness import ForceDisturbance
     sc = replace(default_scenario(), duration=8.0, faults=(),
-                 force_disturbance=ForceDisturbance(amplitude=3.0, frequency_hz=1.0))
+                 force_disturbance=Sinusoid(amplitude=3.0, frequency_hz=1.0))
     tr = run_scenario(sc)
     t = tr["t"]
     m = t >= 2.0
