@@ -14,7 +14,7 @@ Eigenvalues of the 2x2 symmetric matrices are computed in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -184,15 +184,7 @@ class ChannelMetrics:
     gain_peak: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "l1": self.l1,
-            "l2": self.l2,
-            "linf": self.linf,
-            "rms": self.rms,
-            "chattering": self.chattering,
-            "reach_time": self.reach_time,
-            "gain_peak": self.gain_peak,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,6 @@ class AstwCellParams:
     L1_init: float = 1.0     # initial proportional gain (> L_floor)
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         for name in ("epsilon", "alpha1", "Gamma1", "lambda1", "lambda2",
                      "L_floor", "L_ramp", "L1_init"):
             if not getattr(self, name) > 0.0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -81,13 +82,21 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _require_blocks(scenario: Scenario, kinds, command: str) -> None:
+    for kind in kinds:
+        if getattr(scenario.observer, kind) is None:
+            raise ConfigError(f"scenario lacks the '{kind}' parameter block "
+                              f"required by {command}")
+
+
 def _cmd_run(args) -> int:
     scenario = read_scenario(args.scenario)
+    kind = args.observer or scenario.observer.kind
+    _require_blocks(scenario, (kind,), "run")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace = run_scenario(scenario, observer_kind=args.observer, seed=args.seed)
     trace.write_csv(out / "trace.csv")
-    kind = args.observer or scenario.observer.kind
     eps = scenario.observer.epsilons() if kind == "astw" else None
     report = trace_metrics(trace, epsilons=eps)
     _write_json(report.to_dict(), out / "metrics.json")
@@ -97,10 +106,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = read_scenario(args.scenario)
-    for kind in OBSERVER_KINDS:
-        if getattr(scenario.observer, kind) is None:
-            raise ConfigError(f"scenario lacks the '{kind}' parameter block "
-                              "required by compare")
+    _require_blocks(scenario, OBSERVER_KINDS, "compare")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reports: dict[str, MetricsReport] = {}
@@ -118,14 +124,23 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check_gains(args) -> int:
+    for name in ("l1", "lambda1", "lambda2", "delta1", "delta2", "v0"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be a finite number, got {value}")
     if args.lambda1 <= 0.0 or args.lambda2 <= 0.0:
         raise ConfigError("lambda1 and lambda2 must be > 0")
     if args.delta1 < 0.0 or args.delta2 < 0.0:
         raise ConfigError("delta1 and delta2 must be >= 0")
-    verdict = check_gain_condition(args.l1, args.lambda1, args.lambda2,
-                                   args.delta1, args.delta2)
-    check = lyapunov_matrices(args.l1, args.lambda1, args.lambda2,
-                              args.delta1, args.delta2, V0=args.v0)
+    if args.v0 is not None and args.v0 < 0.0:
+        raise ConfigError("v0 must be >= 0")
+    try:
+        verdict = check_gain_condition(args.l1, args.lambda1, args.lambda2,
+                                       args.delta1, args.delta2)
+        check = lyapunov_matrices(args.l1, args.lambda1, args.lambda2,
+                                  args.delta1, args.delta2, V0=args.v0)
+    except ArithmeticError as exc:  # finite inputs whose powers or ratios overflow
+        raise ConfigError(f"gain numbers out of range ({exc})") from exc
     payload = {
         "ok": verdict.ok,
         "margin": verdict.margin,
@@ -146,13 +161,20 @@ def _cmd_check_gains(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.dwell < 1:
+        raise ConfigError("dwell must be >= 1")
+    window = _parse_window(args.window)
     trace = SimTrace.read_csv(args.trace)
+    if len(trace) < 2:
+        raise ConfigError(f"{args.trace}: a report needs >= 2 samples, got {len(trace)}")
     eps = None
     if args.scenario is not None:
         scenario = read_scenario(args.scenario)
         eps = scenario.observer.epsilons()
-    report = trace_metrics(trace, window=_parse_window(args.window), epsilons=eps,
-                           dwell=args.dwell)
+    try:
+        report = trace_metrics(trace, window=window, epsilons=eps, dwell=args.dwell)
+    except ValueError as exc:  # the window selects no sample of the trace
+        raise ConfigError(f"{args.trace}: {exc}") from exc
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

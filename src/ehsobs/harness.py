@@ -75,7 +75,7 @@ class ControllerGains:
     kp_supply: float = 1.0e-6  # [V/Pa]
     ki_supply: float = 2.0e-5  # [V/(Pa*s)]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("kp_pos", "ki_pos", "kp_supply", "ki_supply"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"ControllerGains.{name} must be >= 0")
@@ -119,6 +119,14 @@ class FaultWindow:
     f_d: float = 0.0
     Delta: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.t_start < self.t_end:
+            raise ValueError(f"window [{self.t_start}, {self.t_end}) "
+                             "needs 0 <= t_start < t_end")
+        for name in ("C_i", "C_e1", "C_e2"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} is a leakage coefficient and must be >= 0")
+
 
 @dataclass(frozen=True)
 class NoiseStd:
@@ -132,7 +140,7 @@ class NoiseStd:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.P1, self.P2, self.Ps, self.xc)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if any(v < 0.0 for v in self.as_tuple()):
             raise ValueError("noise standard deviations must be >= 0")
 
@@ -148,6 +156,10 @@ class InitialPlantState:
     xc: float = 0.1
     velocity: float = 0.0
 
+    def __post_init__(self) -> None:
+        if min(self.P1, self.P2, self.Ps) < 0.0:
+            raise ValueError("initial pressures must be >= 0")
+
     def to_state(self) -> PlantState:
         return PlantState(x1=self.x1, x2=self.P1, x3=self.P2,
                           x4=self.Ps, x5=self.xc, x6=self.velocity)
@@ -155,13 +167,17 @@ class InitialPlantState:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One closed-loop run; valid once built.  Each block checks its own fields,
+    the scenario only the rules that span them, never reading `observer`
+    (a measurement stream is the scenario with observer=None)."""
+
     duration: float = 30.0
     dt: float = 1.0e-3
     substeps: int = 5
     seed: int = 0
     plant: PlantParams = field(default_factory=PlantParams)
     initial_state: InitialPlantState = field(default_factory=InitialPlantState)
-    observer: ObserverConfig = field(default_factory=ObserverConfig)
+    observer: ObserverConfig = field(kw_only=True)
     controller: ControllerGains = field(default_factory=ControllerGains)
     position_profile: PositionProfile = field(default_factory=PositionProfile)
     supply_setpoint: float = 3.0e6
@@ -171,7 +187,7 @@ class Scenario:
     force_disturbance: Sinusoid = field(default_factory=Sinusoid)
     reconstruction_tau: float = 0.02
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ConfigError("dt must be > 0")
         if self.duration < self.dt:
@@ -185,26 +201,13 @@ class Scenario:
             raise ConfigError("substeps must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        try:
-            self.plant.validate()
-            self.observer.validate()
-            self.controller.validate()
-            self.noise_std.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         for i, fw in enumerate(self.faults):
-            if not (0.0 <= fw.t_start < fw.t_end <= self.duration):
-                raise ConfigError(
-                    f"fault window [{fw.t_start}, {fw.t_end}) outside [0, {self.duration}]")
-            for name in ("C_i", "C_e1", "C_e2"):
-                if getattr(fw, name) < 0.0:
-                    raise ConfigError(f"faults[{i}].{name}: a leakage coefficient must be >= 0")
+            if fw.t_end > self.duration:
+                raise ConfigError(f"faults[{i}]: window [{fw.t_start}, {fw.t_end}) "
+                                  f"ends after the run [0, {self.duration}]")
         if self.reconstruction_tau < self.dt:
             raise ConfigError("reconstruction_tau must be >= dt")
-        init = self.initial_state
-        if min(init.P1, init.P2, init.Ps) < 0.0:
-            raise ConfigError("initial pressures must be >= 0")
-        if not 0.0 <= init.xc <= self.plant.stroke:
+        if not 0.0 <= self.initial_state.xc <= self.plant.stroke:
             raise ConfigError("initial position must lie within the stroke")
 
     def n_records(self) -> int:
@@ -419,7 +422,6 @@ def run_scenario(scenario: Scenario, observer_kind: str | None = None,
         sc = replace(sc, observer=replace(sc.observer, kind=observer_kind))
     if seed is not None:
         sc = replace(sc, seed=seed)
-    sc.validate()
 
     n = sc.n_records()
     rng = np.random.default_rng(sc.seed)
@@ -512,6 +514,8 @@ def _decode(tp, value, path: str):
         kwargs = {k: _decode(types_[k], v, prefix + k) for k, v in value.items()}
         try:
             return tp(**kwargs)
+        except ConfigError:  # a Scenario rule spanning fields; its text is whole
+            raise
         except ValueError as exc:
             raise ConfigError(f"{path or tp.__name__}: {exc}") from exc
         except ArithmeticError as exc:  # e.g. a derived quantity overflows
@@ -549,12 +553,10 @@ def _encode(value):
 
 
 def scenario_from_dict(d) -> Scenario:
-    """Build and validate a Scenario from parsed JSON; errors name their path."""
+    """Build a Scenario from parsed JSON; errors name their path."""
     if not isinstance(d, dict):
         raise ConfigError("scenario file must contain a JSON object")
-    scenario = _decode(Scenario, d, "")
-    scenario.validate()
-    return scenario
+    return _decode(Scenario, d, "")
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

@@ -46,7 +46,7 @@ class StwGains:
     L1: float
     L2: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.L1 <= 0.0 or self.L2 <= 0.0:
             raise ValueError("StwGains must be > 0")
 
@@ -62,7 +62,7 @@ class FosmoGains:
     rho: tuple[float, float, float, float]
     rho4_vel: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if any(r <= 0.0 for r in self.rho) or self.rho4_vel <= 0.0:
             raise ValueError("FosmoGains must be > 0")
 
@@ -93,24 +93,14 @@ class ObserverConfig:
     fosmo: FosmoGains | None = None
     initial: InitialEstimates = field(default_factory=InitialEstimates)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in OBSERVER_KINDS:
             raise ValueError(f"unknown observer kind {self.kind!r}")
         block = getattr(self, self.kind)
         if block is None:
             raise ValueError(f"observer kind {self.kind!r} needs its parameter block")
-        if self.kind == "astw":
-            if len(self.astw) != 4:
-                raise ValueError("astw block needs 4 channel parameter sets")
-            for cp in self.astw:
-                cp.validate()
-        elif self.kind == "stw":
-            if len(self.stw) != 4:
-                raise ValueError("stw block needs 4 channel gain pairs")
-            for g in self.stw:
-                g.validate()
-        else:
-            self.fosmo.validate()
+        if self.kind != "fosmo" and len(block) != 4:
+            raise ValueError(f"{self.kind} block needs 4 channel entries")
 
     def epsilons(self) -> tuple[float, float, float, float] | None:
         """Per-channel dead-bands, defined only for the adaptive kind."""
@@ -159,7 +149,6 @@ def sliding_errors(y: tuple[float, float, float, float],
 def init_observer(cfg: ObserverConfig,
                   y0: tuple[float, float, float, float]) -> ObserverState:
     """Build the observer start state from the first measurement sample."""
-    cfg.validate()
     init = cfg.initial
     if cfg.kind == "astw":
         cells = tuple(AstwCellState(L1=cp.L1_init) for cp in cfg.astw)

@@ -63,9 +63,6 @@ class PlantParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "A1", math.pi * self.d1 ** 2 / 4.0)
         object.__setattr__(self, "A2", math.pi * (self.d1 ** 2 - self.d2 ** 2) / 4.0)
-        self.validate()
-
-    def validate(self) -> None:
         positive = (
             "tau_v", "K_v", "tau_s", "K_r", "beta", "rho", "C_d", "w",
             "d1", "d2", "V01", "V02", "m", "c", "stroke", "P_s_max",

@@ -7,6 +7,7 @@ import pytest
 
 from ehsobs.cli import main, trace_metrics
 from ehsobs.harness import (
+    SimTrace,
     default_scenario,
     nofault_scenario,
     run_scenario,
@@ -107,9 +108,14 @@ MALFORMED = {
                     json.dumps(_with(("observer", "stw", 1), {"L1": 1.0}))),
     "reconstruction-tau-zero": ("reconstruction_tau must be >= dt",
                                 json.dumps(_with(("reconstruction_tau",), 0))),
-    "fault-negative-leak": ("faults[0].C_i",
+    "fault-negative-leak": ("faults[0]: C_i",
                             json.dumps(_with(("faults",), [{"t_start": 0.0, "t_end": 0.05,
                                                             "C_i": -1e-9}]))),
+    "fault-window-late": ("faults[0]: window [0.0, 1.0) ends after the run [0, 0.05]\n",
+                          json.dumps(_with(("faults",), [{"t_start": 0.0, "t_end": 1.0}]))),
+    "observer-missing": ("missing key 'observer'\n",
+                         json.dumps({k: v for k, v in _short_dict().items()
+                                     if k != "observer"})),
 }
 
 
@@ -130,6 +136,16 @@ def test_run_negative_seed_option_exits_2(short_scenario_file, tmp_path, capsys)
                str(tmp_path / "o"), "--seed", "-1"])
     assert rc == 2
     assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+def test_run_observer_without_its_block_exits_2(tmp_path, capsys):
+    path = tmp_path / "astw_only.json"
+    path.write_text(json.dumps(_with(("observer", "stw"), None)))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o"),
+               "--observer", "stw"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: scenario lacks the 'stw' parameter "
+                                       "block required by run\n")
 
 
 def test_run_domain_violation_exits_3(tmp_path, capsys):
@@ -165,6 +181,24 @@ def test_check_gains_pass_and_fail(capsys):
 def test_check_gains_rejects_bad_ratio(capsys):
     rc = main(["check-gains", "--l1", "10", "--lambda1", "0", "--lambda2", "1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--v0", "-1"], "v0 must be >= 0"),
+    (["--lambda1", "nan"], "--lambda1 must be a finite number, got nan"),
+    (["--l1", "inf", "--v0", "1"], "--l1 must be a finite number, got inf"),
+    (["--delta2=-inf"], "--delta2 must be a finite number, got -inf"),
+    (["--v0", "nan"], "--v0 must be a finite number, got nan"),
+    (["--l1", "1e200", "--lambda1", "1e200"], "gain numbers out of range"),
+    (["--l1", "1e300", "--lambda1", "1e-300", "--lambda2", "1e-300", "--v0", "1"],
+     "gain numbers out of range"),
+])
+def test_check_gains_rejects_bad_numbers(extra, message, capsys):
+    # later occurrences of an option override the valid defaults here
+    rc = main(["check-gains", "--l1", "10", "--lambda1", "1", "--lambda2", "1", *extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_report_from_trace(tmp_path, capsys):
@@ -217,6 +251,23 @@ def test_report_bad_window_exits_2(tmp_path, capsys):
     trace.write_csv(path)
     assert main(["report", "--trace", str(path), "--window", "30"]) == 2
     assert main(["report", "--trace", str(path), "--window", "5:1"]) == 2
+
+
+@pytest.mark.parametrize("rows, options, message", [
+    (51, ["--dwell", "0"], "error: dwell must be >= 1\n"),
+    (51, ["--dwell", "0", "--scenario", "{dir}/sc.json"], "error: dwell must be >= 1\n"),
+    (51, ["--window=-5:-1"], "selects no samples"),
+    (1, [], "a report needs >= 2 samples, got 1"),
+])
+def test_report_bad_request_exits_2(rows, options, message, tmp_path, capsys):
+    sc = replace(nofault_scenario(), duration=0.05)
+    write_scenario(sc, tmp_path / "sc.json")
+    path = tmp_path / "trace.csv"
+    SimTrace(data=run_scenario(sc).data[:rows]).write_csv(path)
+    rc = main(["report", "--trace", str(path), *(o.format(dir=tmp_path) for o in options)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_trace_metrics_channels(nofault_trace, fault_scenario):

@@ -17,6 +17,7 @@ from ehsobs.harness import (
     InitialPlantState,
     LoopState,
     MAX_RECORDS,
+    NoiseStd,
     NumericalAbort,
     PositionProfile,
     Scenario,
@@ -34,7 +35,7 @@ from ehsobs.harness import (
     step_closed_loop,
     write_scenario,
 )
-from ehsobs.observer import StwGains
+from ehsobs.observer import FosmoGains, ObserverConfig, StwGains
 from ehsobs.plant import ControlInputs
 
 
@@ -70,38 +71,53 @@ def test_pi_antiwindup_freezes_integrator():
 
 def test_scenario_validation_errors():
     with pytest.raises(ConfigError):
-        replace(default_scenario(), dt=0.0).validate()
+        replace(default_scenario(), dt=0.0)
     with pytest.raises(ConfigError):
-        replace(default_scenario(), duration=1e-4).validate()
+        replace(default_scenario(), duration=1e-4)
+    with pytest.raises(ConfigError, match=r"^faults\[0\]: window \[12.0, 40.0\) ends after"):
+        replace(default_scenario(),
+                faults=(FaultWindow(t_start=12.0, t_end=40.0, C_i=1e-11),))
     with pytest.raises(ConfigError):
         replace(default_scenario(),
-                faults=(FaultWindow(t_start=12.0, t_end=40.0, C_i=1e-11),)).validate()
+                initial_state=InitialPlantState(xc=0.5))
     with pytest.raises(ConfigError):
-        replace(default_scenario(),
-                initial_state=InitialPlantState(xc=0.5)).validate()
+        replace(default_scenario(), reconstruction_tau=1e-4)
     with pytest.raises(ConfigError):
-        replace(default_scenario(), reconstruction_tau=1e-4).validate()
-    with pytest.raises(ConfigError):
-        replace(default_scenario(), reconstruction_tau=0.0).validate()
+        replace(default_scenario(), reconstruction_tau=0.0)
     for name in ("C_i", "C_e1", "C_e2"):
-        leak = FaultWindow(t_start=0.0, t_end=1.0, **{name: -1e-9})
-        with pytest.raises(ConfigError, match=rf"^faults\[1\]\.{name}: "):
-            replace(default_scenario(), faults=(FaultWindow(0.0, 1.0), leak)).validate()
+        with pytest.raises(ValueError, match=rf"^{name} is a leakage coefficient"):
+            replace(default_scenario(), faults=(
+                FaultWindow(0.0, 1.0), FaultWindow(t_start=0.0, t_end=1.0, **{name: -1e-9})))
 
 
 def test_signed_fault_inputs_accepted():
     # a disturbance force and a supply-rate delta act in either direction
     fw = FaultWindow(t_start=0.0, t_end=1.0, f_d=-3.0, Delta=-1e5)
-    replace(default_scenario(), faults=(fw,)).validate()
+    replace(default_scenario(), faults=(fw,))
 
 
 def test_record_count_ceiling():
-    # validate only: a run this long would allocate gigabytes
+    # construct only: a run this long would allocate gigabytes
     at_ceiling = replace(default_scenario(), duration=(MAX_RECORDS - 1) * 1e-3)
     assert at_ceiling.n_records() == MAX_RECORDS
-    at_ceiling.validate()
     with pytest.raises(ConfigError, match=f"gives {MAX_RECORDS + 1} records"):
-        replace(default_scenario(), duration=MAX_RECORDS * 1e-3).validate()
+        replace(default_scenario(), duration=MAX_RECORDS * 1e-3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ControllerGains(kp_pos=-1.0),
+    lambda: NoiseStd(P1=-1.0),
+    lambda: StwGains(0.0, 1.0),
+    lambda: FosmoGains(rho=(1.0, 1.0, 0.0, 1.0), rho4_vel=1.0),
+    lambda: ObserverConfig(kind="stw"),
+    lambda: FaultWindow(1.0, 0.0),
+    lambda: FaultWindow(0.0, 1.0, C_e1=-1.0),
+    lambda: InitialPlantState(P1=-1.0),
+], ids=["controller", "noise", "stw", "fosmo", "observer-block", "fault-order",
+        "fault-leak", "initial-pressure"])
+def test_block_rejects_invalid_fields_when_built(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_fault_inputs_step_quantized():

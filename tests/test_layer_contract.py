@@ -132,3 +132,10 @@ def test_compare_runs_each_observer_once(calls, scenario_file, tmp_path):
     expected = per_run("astw") + per_run("stw") + per_run("fosmo")
     assert calls.count == expected + Counter({"cli.read_scenario": 1})
     check_run_calls(calls, ("astw", "stw", "fosmo"), None)
+
+
+def test_scenario_without_observer_constructs():
+    # a measurement stream is keyed by the scenario with its observer removed,
+    # so the scenario's own checks must never read the observer block
+    stream = replace(default_scenario(), observer=None)
+    assert stream.observer is None

@@ -78,11 +78,11 @@ def test_init_observer_defaults_and_overrides():
 
 def test_config_requires_matching_parameter_block():
     with pytest.raises(ValueError):
-        ObserverConfig(kind="stw").validate()
+        ObserverConfig(kind="stw")
     with pytest.raises(ValueError):
-        ObserverConfig(kind="nope").validate()
+        ObserverConfig(kind="nope")
     ObserverConfig(kind="fosmo",
-                   fosmo=FosmoGains(rho=(1.0, 1.0, 1.0, 1.0), rho4_vel=1.0)).validate()
+                   fosmo=FosmoGains(rho=(1.0, 1.0, 1.0, 1.0), rho4_vel=1.0))
 
 
 def test_exact_initialization_matches_plant_step():
