@@ -55,7 +55,6 @@ from .observer import (
     StwGains,
     init_observer,
     observer_step,
-    sliding_errors,
 )
 from .plant import (
     ControlInputs,

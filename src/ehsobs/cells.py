@@ -51,13 +51,12 @@ class AstwCellParams:
     alpha1: float = 100.0    # adaptation rate scale [1/s]
     Gamma1: float = 2.0      # adaptation gain [-]
     lambda1: float = 1.0     # integral/proportional gain ratio [-]
-    lambda2: float = 1.0     # stability-analysis tuning constant [-]
     L_floor: float = 0.1     # minimum proportional gain
     L_ramp: float = 100.0    # re-growth rate at the floor [1/s]
     L1_init: float = 1.0     # initial proportional gain (> L_floor)
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "alpha1", "Gamma1", "lambda1", "lambda2",
+        for name in ("epsilon", "alpha1", "Gamma1", "lambda1",
                      "L_floor", "L_ramp", "L1_init"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"AstwCellParams.{name} must be > 0")

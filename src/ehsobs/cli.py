@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-ERROR_CHANNELS = ("e_y1", "e_y2", "e_y3", "e_y4", "e_z1", "e_z2")
-
 
 def trace_metrics(trace: SimTrace, window=(10.0, 30.0),
                   epsilons=None, dwell: int = 1) -> MetricsReport:
@@ -152,9 +150,13 @@ def _cmd_check_gains(args) -> int:
         "lambda_min_Omega": check.lambda_min_Omega,
         "c1": check.c1,
         "gamma": check.gamma,
-        "T_r_bound": check.T_r_bound,
+        "T_r_bound": None if check.gamma <= 0.0 else check.T_r_bound,  # no finite bound
     }
-    print(json.dumps(payload, indent=2))
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity, which strict JSON lacks
+        raise ConfigError(f"gain numbers out of range ({exc})") from exc
+    print(text)
     print(f"gain condition: {'PASS' if verdict.ok else 'FAIL'} "
           f"(margin {verdict.margin:.6g})")
     return EXIT_OK
@@ -237,6 +239,9 @@ def main(argv=None) -> int:
     except (NumericalAbort, DomainViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # reads raise ConfigError, so this is an output path
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

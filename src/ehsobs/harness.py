@@ -228,53 +228,19 @@ class Scenario:
         return FaultInputs(C_i, C_e1, C_e2, f_d, delta)
 
 
-class TraceRecord(NamedTuple):
-    """Column schema: the CSV header, in order, of the plain-tuple records."""
-
-    t: float
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-    x5: float
-    x6: float
-    y1: float
-    y2: float
-    y3: float
-    y4: float
-    z1_hat: float
-    y1_hat: float
-    y2_hat: float
-    y3_hat: float
-    y4_hat: float
-    z2_hat: float
-    sigma1: float
-    sigma2: float
-    sigma3: float
-    sigma4: float
-    mu1: float
-    mu2: float
-    mu3: float
-    mu4: float
-    L1_1: float
-    L1_2: float
-    L1_3: float
-    L1_4: float
-    L2_1: float
-    L2_2: float
-    L2_3: float
-    L2_4: float
-    QL1_true: float
-    QL2_true: float
-    f_d_true: float
-    f1_hat: float
-    f2_hat: float
-    rho4_hat: float
-    u1: float
-    u2: float
-
-
-TRACE_COLUMNS = TraceRecord._fields
+# The CSV header, in order, of the plain-tuple records step_closed_loop returns.
+TRACE_COLUMNS = (
+    "t", "x1", "x2", "x3", "x4", "x5", "x6",
+    "y1", "y2", "y3", "y4",
+    "z1_hat", "y1_hat", "y2_hat", "y3_hat", "y4_hat", "z2_hat",
+    "sigma1", "sigma2", "sigma3", "sigma4",
+    "mu1", "mu2", "mu3", "mu4",
+    "L1_1", "L1_2", "L1_3", "L1_4",
+    "L2_1", "L2_2", "L2_3", "L2_4",
+    "QL1_true", "QL2_true", "f_d_true",
+    "f1_hat", "f2_hat", "rho4_hat",
+    "u1", "u2",
+)
 
 
 @dataclass
@@ -316,6 +282,10 @@ class SimTrace:
             raise ConfigError(f"{path}: malformed trace: {exc}") from exc
         if data.shape[0] == 0 or data.shape[1] != len(TRACE_COLUMNS):
             raise ConfigError(f"{path}: no rows of {len(TRACE_COLUMNS)} columns")
+        if not np.isfinite(data).all():
+            row, col = np.argwhere(~np.isfinite(data))[0]
+            raise ConfigError(f"{path}: non-finite value {data[row, col]} in column "
+                              f"'{TRACE_COLUMNS[col]}' on line {row + 2}")
         return cls(data=data)
 
 
@@ -594,11 +564,9 @@ def default_cell_params() -> tuple[AstwCellParams, ...]:
     lives in metres and stays near unit scale.
     """
     pressure = AstwCellParams(epsilon=2.0e4, alpha1=5.0e6, Gamma1=2.0,
-                              lambda1=2.0e4, lambda2=1.0, L_floor=0.5,
-                              L_ramp=100.0, L1_init=1.0)
+                              lambda1=2.0e4, L_floor=0.5, L_ramp=100.0, L1_init=1.0)
     position = AstwCellParams(epsilon=2.0e-5, alpha1=2.0, Gamma1=2.0,
-                              lambda1=2000.0, lambda2=1.0, L_floor=5.0e-4,
-                              L_ramp=0.1, L1_init=1.0e-3)
+                              lambda1=2000.0, L_floor=5.0e-4, L_ramp=0.1, L1_init=1.0e-3)
     return (pressure, pressure, pressure, position)
 
 

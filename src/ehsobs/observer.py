@@ -139,13 +139,6 @@ class ChannelInjections(NamedTuple):
     L2: tuple[float, float, float, float]
 
 
-def sliding_errors(y: tuple[float, float, float, float],
-                   obs: ObserverState) -> tuple[float, float, float, float]:
-    """Sliding variables: measured output minus its estimate, per channel."""
-    return (y[0] - obs.y1_hat, y[1] - obs.y2_hat,
-            y[2] - obs.y3_hat, y[3] - obs.y4_hat)
-
-
 def init_observer(cfg: ObserverConfig,
                   y0: tuple[float, float, float, float]) -> ObserverState:
     """Build the observer start state from the first measurement sample."""
@@ -207,7 +200,7 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
         L1_4, L2_4 = g4.L1, g4.L2
         mu4_pos = L1_4 * sqrt_sign(s4)
         L2_1, L2_2, L2_3 = g1.L2, g2.L2, g3.L2
-    elif kind == "fosmo":
+    else:  # fosmo
         r1, r2, r3, r4 = cfg.fosmo.rho
         mu_1 = fosmo_step(s1, r1)
         mu_2 = fosmo_step(s2, r2)
@@ -216,8 +209,6 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
         L2_4 = cfg.fosmo.rho4_vel
         mu4_pos = r4 * sign(s4)
         L2_1 = L2_2 = L2_3 = 0.0
-    else:
-        raise ValueError(f"unknown observer kind {kind!r}")
     mu4_vel = L2_4 * sign(s4)
 
     # chamber-volume coefficients from the measured position, held over dt

@@ -89,9 +89,6 @@ class PlantState(NamedTuple):
     x5: float = 0.0
     x6: float = 0.0
 
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return tuple(self)
-
 
 class FaultInputs(NamedTuple):
     """Leakage coefficients, disturbance force and supply-rate uncertainty.

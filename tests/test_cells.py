@@ -17,7 +17,7 @@ from ehsobs.cells import (
 )
 
 CP = AstwCellParams(epsilon=1.0, alpha1=100.0, Gamma1=2.0, lambda1=1.0,
-                    lambda2=1.0, L_floor=0.1, L_ramp=100.0, L1_init=10.0)
+                    L_floor=0.1, L_ramp=100.0, L1_init=10.0)
 
 
 def test_sign_convention():

@@ -116,6 +116,8 @@ MALFORMED = {
     "observer-missing": ("missing key 'observer'\n",
                          json.dumps({k: v for k, v in _short_dict().items()
                                      if k != "observer"})),
+    "astw-leftover-lambda2": ("unknown key 'observer.astw[0].lambda2'\n",
+                              json.dumps(_with(("observer", "astw", 0, "lambda2"), 1.0))),
 }
 
 
@@ -178,6 +180,20 @@ def test_check_gains_pass_and_fail(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _reject_constant(token):
+    raise AssertionError(f"{token} is not strict JSON")
+
+
+@pytest.mark.parametrize("l1, T_r_bound", [("10", float),
+                                           ("1", type(None))])  # gamma <= 0: no bound
+def test_check_gains_prints_strict_json(l1, T_r_bound, capsys):
+    assert main(["check-gains", "--l1", l1, "--lambda1", "1", "--lambda2", "1",
+                 "--v0", "1"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[:out.index("gain condition:")], parse_constant=_reject_constant)
+    assert type(payload["T_r_bound"]) is T_r_bound
+
+
 def test_check_gains_rejects_bad_ratio(capsys):
     rc = main(["check-gains", "--l1", "10", "--lambda1", "0", "--lambda2", "1"])
     assert rc == 2
@@ -192,6 +208,7 @@ def test_check_gains_rejects_bad_ratio(capsys):
     (["--l1", "1e200", "--lambda1", "1e200"], "gain numbers out of range"),
     (["--l1", "1e300", "--lambda1", "1e-300", "--lambda2", "1e-300", "--v0", "1"],
      "gain numbers out of range"),
+    (["--l1", "1e308", "--lambda1", "1e150"], "gain numbers out of range"),
 ])
 def test_check_gains_rejects_bad_numbers(extra, message, capsys):
     # later occurrences of an option override the valid defaults here
@@ -225,6 +242,10 @@ MALFORMED_TRACES = {
                                         *lines[3:]],
                          "malformed trace"),
     "header-only": (lambda lines: lines[:1], "no rows of 41 columns"),
+    "non-finite-cell": (lambda lines: [*lines[:2], ",".join(
+                            "nan" if i == 17 else cell
+                            for i, cell in enumerate(lines[2].split(","))), *lines[3:]],
+                        "non-finite value nan in column 'sigma1' on line 3"),
     "missing-file": (None, "cannot read trace file"),
 }
 
@@ -242,6 +263,23 @@ def test_report_malformed_trace_exits_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "report"])
+def test_unwritable_output_exits_2(command, short_scenario_file, tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    if command == "report":
+        trace = tmp_path / "trace.csv"
+        run_scenario(replace(nofault_scenario(), duration=0.05)).write_csv(trace)
+        argv = ["report", "--trace", str(trace), "--out", str(tmp_path / "missing" / "r.json")]
+    else:  # run makes the directory F/x, compare the directory F
+        out = blocker / "x" if command == "run" else blocker
+        argv = [command, "--scenario", str(short_scenario_file), "--out", str(out)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
 
 def test_report_bad_window_exits_2(tmp_path, capsys):

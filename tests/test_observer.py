@@ -21,7 +21,6 @@ from ehsobs.observer import (
     StwGains,
     init_observer,
     observer_step,
-    sliding_errors,
 )
 from ehsobs.plant import ControlInputs, FaultInputs, PlantParams, PlantState, advance_plant
 
@@ -45,24 +44,6 @@ def still_scenario(**kw) -> Scenario:
     )
     defaults.update(kw)
     return replace(base, **defaults)
-
-
-def test_sliding_errors_zero_and_single_channel():
-    y = (1.0e6, 2.0e6, 3.0e6, 0.1)
-    obs = init_observer(nofault_scenario().observer, y)
-    assert sliding_errors(y, obs) == (0.0, 0.0, 0.0, 0.0)
-    y_off = (1.0e6, 2.0e6 + 50.0, 3.0e6, 0.1)
-    assert sliding_errors(y_off, obs) == (0.0, 50.0, 0.0, 0.0)
-
-
-def test_sliding_errors_affine():
-    y = (1.0e6, 2.0e6, 3.0e6, 0.1)
-    obs = init_observer(nofault_scenario().observer, y)
-    d = (10.0, -20.0, 30.0, 1e-4)
-    shifted = tuple(a + b for a, b in zip(y, d))
-    base = sliding_errors(y, obs)
-    moved = sliding_errors(shifted, obs)
-    assert tuple(m - b for m, b in zip(moved, base)) == pytest.approx(d, rel=1e-12)
 
 
 def test_init_observer_defaults_and_overrides():

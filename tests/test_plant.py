@@ -202,8 +202,8 @@ def test_advance_single_substep_equals_euler():
     f = FaultInputs(C_i=1e-11)
     d = plant_derivative(s, u, f, P)
     nxt = advance_plant(s, u, f, P, dt=1e-4, substeps=1)
-    ref = [a + 1e-4 * b for a, b in zip(s.as_tuple(), d)]
-    assert nxt.as_tuple() == pytest.approx(ref, rel=1e-12)
+    ref = [a + 1e-4 * b for a, b in zip(tuple(s), d)]
+    assert tuple(nxt) == pytest.approx(ref, rel=1e-12)
 
 
 def test_advance_hard_stop_clamps_position_and_velocity():
