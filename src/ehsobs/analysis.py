@@ -103,6 +103,10 @@ def lyapunov_matrices(L1: float, lambda1: float, lambda2: float,
     )
 
 
+class EmptyWindow(ValueError):
+    """A metrics window that selects no sample of the trace."""
+
+
 class Norms(NamedTuple):
     l1: float
     l2: float
@@ -131,7 +135,7 @@ def norms(t, e, window: tuple[float, float] = (10.0, 30.0)) -> Norms:
     l1 = _trapz(abs_e, t)
     mask = (t >= window[0]) & (t <= window[1])
     if not np.any(mask):
-        raise ValueError(f"window {window} selects no samples")
+        raise EmptyWindow(f"window {window} selects no samples")
     return Norms(l1=l1, l2=math.sqrt(l1), linf=float(np.max(abs_e[mask])))
 
 

@@ -20,7 +20,13 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import MetricsReport, channel_metrics, comparison_table, lyapunov_matrices
+from .analysis import (
+    EmptyWindow,
+    MetricsReport,
+    channel_metrics,
+    comparison_table,
+    lyapunov_matrices,
+)
 from .cells import check_gain_condition
 from .harness import (
     ConfigError,
@@ -175,7 +181,7 @@ def _cmd_report(args) -> int:
         eps = scenario.observer.epsilons()
     try:
         report = trace_metrics(trace, window=window, epsilons=eps, dwell=args.dwell)
-    except ValueError as exc:  # the window selects no sample of the trace
+    except EmptyWindow as exc:
         raise ConfigError(f"{args.trace}: {exc}") from exc
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:

@@ -24,6 +24,7 @@ from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import textfmt
 from .cells import AstwCellParams
 from .observer import (
     FosmoGains,
@@ -261,8 +262,7 @@ class SimTrace:
         return self.data[:, self._index[name]]
 
     def write_csv(self, path) -> None:
-        np.savetxt(path, self.data, fmt="%.17g", delimiter=",",
-                   header=",".join(TRACE_COLUMNS), comments="")
+        textfmt.write_csv(path, self.data, header=",".join(TRACE_COLUMNS))
 
     @classmethod
     def read_csv(cls, path) -> "SimTrace":
@@ -286,6 +286,11 @@ class SimTrace:
             row, col = np.argwhere(~np.isfinite(data))[0]
             raise ConfigError(f"{path}: non-finite value {data[row, col]} in column "
                               f"'{TRACE_COLUMNS[col]}' on line {row + 2}")
+        stalls = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
+        if stalls.size:
+            row = stalls[0] + 1
+            raise ConfigError(f"{path}: column 't' does not increase on line {row + 2} "
+                              f"({data[row, 0]} after {data[row - 1, 0]})")
         return cls(data=data)
 
 

@@ -247,6 +247,10 @@ MALFORMED_TRACES = {
                             for i, cell in enumerate(lines[2].split(","))), *lines[3:]],
                         "non-finite value nan in column 'sigma1' on line 3"),
     "missing-file": (None, "cannot read trace file"),
+    "t-swapped": (lambda lines: [*lines[:25], lines[26], lines[25], *lines[27:]],
+                  "column 't' does not increase on line 27 (0.024 after 0.025)"),
+    "t-reversed": (lambda lines: [lines[0], *lines[:0:-1]],
+                   "column 't' does not increase on line 3 (0.049 after 0.05)"),
 }
 
 

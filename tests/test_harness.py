@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehsobs.harness import (
@@ -241,6 +241,54 @@ def test_trace_csv_round_trip(tmp_path):
     assert header.split(",") == list(TRACE_COLUMNS)
     back = SimTrace.read_csv(path)
     assert np.array_equal(back.data, trace.data)  # 17 significant digits replay
+
+
+def _assert_writes_savetxt_bytes(data: np.ndarray) -> None:
+    """SimTrace.write_csv writes the bytes np.savetxt writes for '%.17g'."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours, oracle = Path(tmp) / "ours.csv", Path(tmp) / "oracle.csv"
+        SimTrace(data=data).write_csv(ours)
+        np.savetxt(oracle, data, fmt="%.17g", delimiter=",",
+                   header=",".join(TRACE_COLUMNS), comments="")
+        assert ours.read_bytes() == oracle.read_bytes()
+
+
+@st.composite
+def double_arrays(draw) -> np.ndarray:
+    """(n, 41) doubles, n = 0-4, each from floats() (NaN, infinities, signed
+    zeros, subnormals) or from a raw 64-bit pattern."""
+    size = 41 * draw(st.integers(0, 4))
+    floats = draw(st.lists(st.floats(), min_size=size, max_size=size))
+    patterns = np.frombuffer(draw(st.binary(min_size=8 * size, max_size=8 * size)))
+    pick = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype=np.uint8) & 1
+    return np.where(pick == 1, patterns, np.array(floats, dtype=np.float64)).reshape(-1, 41)
+
+
+@settings(max_examples=200)
+@given(double_arrays())
+def test_write_csv_matches_savetxt_on_any_doubles(data):
+    _assert_writes_savetxt_bytes(data)
+
+
+EDGE_VALUES = (
+    31888734671842.562,  # an exact decimal tie at 17 digits: ...842.5625
+    1e16, 9.9999999999999998e16, 1e17,  # fixed/scientific switch and the carry
+    1e-4, 9.9999999999999995e-5, 1e-5,
+    1e100, -1e-100,
+    5e-324, 1.7976931348623157e308,  # smallest subnormal, largest double
+    1e-280, 1e280, 0.1, 0.5, 1.0, -0.0, 0.0, math.nan, math.inf, -math.inf,
+)
+
+
+def test_write_csv_matches_savetxt_on_edge_values():
+    edges = np.array(EDGE_VALUES)
+    _assert_writes_savetxt_bytes(np.resize(np.concatenate([edges, -edges]), (3, 41)))
+
+
+@pytest.mark.parametrize("name", ["fault_trace", "noisy_trace"])
+def test_write_csv_matches_savetxt_on_traces(name, request):
+    _assert_writes_savetxt_bytes(request.getfixturevalue(name).data)
 
 
 def test_trace_columns_are_41_distinct_names():
