@@ -30,7 +30,6 @@ platform.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,9 +58,10 @@ def _tables():
     """Lookup tables, built on the first write (a few ms), not at import."""
     powers = np.empty((4, _E_MAX - _E_MIN + 1))  # 10**(16 - e): hi, lo, hi's split
     for i, e in enumerate(range(_E_MIN, _E_MAX + 1)):
-        exact = Fraction(10) ** (16 - e)
-        hi = float(exact)  # correctly rounded
-        powers[0, i], powers[1, i] = hi, float(exact - Fraction(hi))
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den  # int / int is correctly rounded
+        p, q = hi.as_integer_ratio()
+        powers[0, i], powers[1, i] = hi, (num * q - p * den) / (den * q)  # the exact rest
     powers[2], powers[3] = _split(powers[0])
     group_text = np.frombuffer(b"".join(b"%04d" % g for g in range(10_000)), dtype=np.uint32)
     trailing = np.array([4] + [len(s) - len(s.rstrip("0")) for s in map(str, range(1, 10_000))],
@@ -84,18 +84,13 @@ def _scaled(a, e, powers):
     return hi, lo + a * p_lo
 
 
-def _out_of_range(hi, lo):
-    """-1 where y < 1e16, +1 where y >= 1e17, else 0."""
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
-    return above.astype(np.int64) - below
-
-
 def _digits(a, powers):
     """(D, e, certified) for |v| = a in [FAST_MIN, FAST_MAX]: a ~ D * 10**(e - 16)."""
     e = np.floor(np.log10(a)).astype(np.int64)
     hi, lo = _scaled(a, e, powers)
-    shift = _out_of_range(hi, lo)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    shift = above.astype(np.int64) - below
     redo = np.flatnonzero(shift)
     # log10 was off by one.  Within rounding error of 1e16 or 1e17 both
     # exponents give the same digits, one of them through the carry below.
