@@ -1,10 +1,10 @@
 """CSV text of float64 arrays, byte for byte as ``'%.17g'`` prints each value.
 
-``write_csv`` produces the file that ``np.savetxt(path, data, fmt="%.17g",
-delimiter=",", header=header, comments="")`` writes, in a fraction of its
-time.  ``np.savetxt`` formats one value at a time with CPython's correctly
-rounded conversion; here the 17 significant digits of a whole block are
-computed at once:
+``write_csv`` produces the file that ``numpy.savetxt(path, data,
+fmt="%.17g", delimiter=",", header=header, comments="")`` writes, in a
+fraction of its time.  numpy formats one value at a time with CPython's
+correctly rounded conversion; here the 17 significant digits of a whole
+block are computed at once:
 
 1. Scale.  For finite |v| in [1e-280, 1e280], let e = floor(log10|v|) and
    y = |v| * 10**(16 - e), a product taken as a double-double: a Dekker
@@ -124,7 +124,7 @@ def _format_block(v, tables, field_t, field) -> np.ndarray:
     expo = np.zeros(n, dtype=np.int64)
     digits[fast_idx], expo[fast_idx] = d, e
 
-    # '0000', the leading digit and four 4-digit groups, one text row per column
+    # ext holds one value per column: rows '0000', the leading digit, four 4-digit groups
     groups = np.empty((4, n), dtype=np.int64)
     top, low = np.divmod(digits, 10**8)
     lead, top = np.divmod(top, 10**8)
