@@ -44,12 +44,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def trace_metrics(trace: SimTrace, window=(10.0, 30.0),
+DEFAULT_WINDOW = (10.0, 30.0)  # [s]
+
+
+def trace_metrics(trace: SimTrace, window=DEFAULT_WINDOW,
                   epsilons=None, dwell: int = 1) -> MetricsReport:
     """Metrics over the six error channels of one trace.
 
     Reaching times need the per-channel dead-bands and are reported only for
-    the four measured channels when `epsilons` is given.
+    the four measured channels when `epsilons` is given.  `window` is used
+    as given; a window that ends after the trace is the caller's to clip.
     """
     t = trace["t"]
     errors = {
@@ -61,14 +65,19 @@ def trace_metrics(trace: SimTrace, window=(10.0, 30.0),
         "e_z2": trace["x6"] - trace["z2_hat"],
     }
     gains = {f"e_y{i}": trace[f"L1_{i}"] for i in (1, 2, 3, 4)}
-    if window[1] > t[-1]:
-        window = (min(window[0], float(t[-1]) / 2.0), float(t[-1]))
     channels = {}
     for i, (name, e) in enumerate(errors.items()):
         eps = epsilons[i] if epsilons is not None and i < 4 else None
         channels[name] = channel_metrics(t, e, window=window, epsilon=eps,
                                          dwell=dwell, gains=gains.get(name))
     return MetricsReport(channels=channels, window=window)
+
+
+def _default_window(trace: SimTrace) -> tuple[float, float]:
+    """DEFAULT_WINDOW, clipped to a trace that ends before it."""
+    lo, hi = DEFAULT_WINDOW
+    t_end = float(trace["t"][-1])
+    return (lo, hi) if hi <= t_end else (min(lo, t_end / 2.0), t_end)
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -102,7 +111,7 @@ def _cmd_run(args) -> int:
     trace = run_scenario(scenario, observer_kind=args.observer, seed=args.seed)
     trace.write_csv(out / "trace.csv")
     eps = scenario.observer.epsilons() if kind == "astw" else None
-    report = trace_metrics(trace, epsilons=eps)
+    report = trace_metrics(trace, window=_default_window(trace), epsilons=eps)
     _write_json(report.to_dict(), out / "metrics.json")
     print(f"wrote {out / 'trace.csv'} ({len(trace)} records) and {out / 'metrics.json'}")
     return EXIT_OK
@@ -118,7 +127,7 @@ def _cmd_compare(args) -> int:
         trace = run_scenario(scenario, observer_kind=kind, seed=args.seed)
         trace.write_csv(out / f"trace_{kind}.csv")
         eps = scenario.observer.epsilons() if kind == "astw" else None
-        reports[kind] = trace_metrics(trace, epsilons=eps)
+        reports[kind] = trace_metrics(trace, window=_default_window(trace), epsilons=eps)
     table = comparison_table(reports)
     _write_json({k: r.to_dict() for k, r in reports.items()}, out / "report.json")
     (out / "report.txt").write_text(table, encoding="utf-8")
@@ -171,10 +180,15 @@ def _cmd_check_gains(args) -> int:
 def _cmd_report(args) -> int:
     if args.dwell < 1:
         raise ConfigError("dwell must be >= 1")
-    window = _parse_window(args.window)
+    window = None if args.window is None else _parse_window(args.window)
     trace = SimTrace.read_csv(args.trace)
     if len(trace) < 2:
         raise ConfigError(f"{args.trace}: a report needs >= 2 samples, got {len(trace)}")
+    if window is None:
+        window = _default_window(trace)
+    elif window[1] > trace["t"][-1]:
+        raise ConfigError(f"{args.trace}: window [{window[0]}, {window[1]}] ends after "
+                          f"the trace (last sample at {float(trace['t'][-1])} s)")
     eps = None
     if args.scenario is not None:
         scenario = read_scenario(args.scenario)
@@ -224,8 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="metrics from an existing trace CSV")
     p_rep.add_argument("--trace", required=True)
-    p_rep.add_argument("--window", default="10:30",
-                       help="LO:HI window for the sup-norm (seconds)")
+    p_rep.add_argument("--window", default=None,
+                       help="LO:HI window for the sup-norm (seconds); default 10:30, "
+                            "clipped to a shorter trace")
     p_rep.add_argument("--scenario", default=None,
                        help="scenario JSON providing the dead-bands for reach times")
     p_rep.add_argument("--dwell", type=int, default=1)

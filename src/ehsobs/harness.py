@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import types
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -262,7 +263,10 @@ class SimTrace:
         return self.data[:, self._index[name]]
 
     def write_csv(self, path) -> None:
-        textfmt.write_csv(path, self.data, header=",".join(TRACE_COLUMNS))
+        """Write the CSV at `path`, then the sidecar that lets read_csv skip parsing it."""
+        data = np.ascontiguousarray(self.data, dtype=np.float64)
+        csv_digest = textfmt.write_csv(path, data, header=",".join(TRACE_COLUMNS))
+        _write_sidecar(path, data, csv_digest)
 
     @classmethod
     def read_csv(cls, path) -> "SimTrace":
@@ -271,27 +275,84 @@ class SimTrace:
                 header = fh.readline().strip()
                 if header.split(",") != list(TRACE_COLUMNS):
                     raise ConfigError(f"{path}: trace header does not match the fixed schema")
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # no rows: rejected below
-                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                data = _read_sidecar(path)
+                if data is None:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)  # no rows: rejected below
+                        data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ConfigError:  # a ValueError too; pass it through unwrapped
             raise
         except OSError as exc:
             raise ConfigError(f"cannot read trace file: {exc}") from exc
         except ValueError as exc:  # ragged rows, non-numeric cells, undecodable bytes
             raise ConfigError(f"{path}: malformed trace: {exc}") from exc
-        if data.shape[0] == 0 or data.shape[1] != len(TRACE_COLUMNS):
-            raise ConfigError(f"{path}: no rows of {len(TRACE_COLUMNS)} columns")
-        if not np.isfinite(data).all():
-            row, col = np.argwhere(~np.isfinite(data))[0]
-            raise ConfigError(f"{path}: non-finite value {data[row, col]} in column "
-                              f"'{TRACE_COLUMNS[col]}' on line {row + 2}")
-        stalls = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
-        if stalls.size:
-            row = stalls[0] + 1
-            raise ConfigError(f"{path}: column 't' does not increase on line {row + 2} "
-                              f"({data[row, 0]} after {data[row - 1, 0]})")
+        _check_rows(path, data)
         return cls(data=data)
+
+
+def _check_rows(path, data: np.ndarray) -> None:
+    """The rules a read trace must meet, whether parsed or loaded from its sidecar."""
+    if data.shape[0] == 0 or data.shape[1] != len(TRACE_COLUMNS):
+        raise ConfigError(f"{path}: no rows of {len(TRACE_COLUMNS)} columns")
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise ConfigError(f"{path}: non-finite value {data[row, col]} in column "
+                          f"'{TRACE_COLUMNS[col]}' on line {row + 2}")
+    stalls = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
+    if stalls.size:
+        row = stalls[0] + 1
+        raise ConfigError(f"{path}: column 't' does not increase on line {row + 2} "
+                          f"({data[row, 0]} after {data[row - 1, 0]})")
+
+
+# --- trace sidecar -----------------------------------------------------------
+# `<trace>.csv.f64` caches the parsed trace beside its CSV, as a hash-checked
+# .pyc caches a module: the magic, the sha256 of the CSV bytes, the sha256 of
+# the array bytes, then the float64 array as an .npy stream.  The CSV stays
+# authoritative; the sidecar is used only while both digests hold, so a CSV
+# edited, replaced or truncated after the write is parsed again.
+
+SIDECAR_MAGIC = b"EHSOBS\x00\x01"  # format name and version
+_CSV_BLOCK = 1 << 20  # the CSV is hashed in blocks, never held whole
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".f64"
+
+
+def _write_sidecar(path, data: np.ndarray, csv_digest: bytes) -> None:
+    """Cache C-contiguous float64 `data` beside the CSV whose bytes hash to `csv_digest`."""
+    import hashlib  # deferred: the import costs ~4 ms of every start-up
+
+    with open(_sidecar_path(path), "wb") as fh:
+        fh.write(SIDECAR_MAGIC + csv_digest + hashlib.sha256(data).digest())
+        np.lib.format.write_array(fh, data, allow_pickle=False)
+
+
+def _read_sidecar(path) -> np.ndarray | None:
+    """The array cached beside the CSV at `path`, or None unless both digests hold."""
+    import hashlib  # deferred: the import costs ~4 ms of every start-up
+
+    try:
+        with open(_sidecar_path(path), "rb") as fh:
+            head = fh.read(72)  # the 8-byte magic and two 32-byte digests
+            magic, csv_digest, data_digest = head[:8], head[8:40], head[40:]
+            if magic != SIDECAR_MAGIC:  # a cut digest is short, so it never matches
+                return None
+            digest = hashlib.sha256()
+            with open(path, "rb") as csv:
+                while block := csv.read(_CSV_BLOCK):
+                    digest.update(block)
+            if digest.digest() != csv_digest:
+                return None
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):  # missing, truncated or not an .npy stream
+        return None
+    if data.dtype != np.float64 or data.ndim != 2 or not data.flags.c_contiguous:
+        return None
+    if hashlib.sha256(data).digest() != data_digest:
+        return None
+    return data
 
 
 def pi_controllers(y: tuple[float, float, float, float],

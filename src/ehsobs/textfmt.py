@@ -172,8 +172,13 @@ def _format_block(v, tables, field_t, field) -> np.ndarray:
     return flat[flat != 0]
 
 
-def write_csv(path, data, header: str) -> None:
-    """Write `header` and the rows of the 2-D array `data` as '%.17g' CSV."""
+def write_csv(path, data, header: str) -> bytes:
+    """Write `header` and the rows of the 2-D array `data` as '%.17g' CSV.
+
+    Returns the sha256 digest of the bytes written.
+    """
+    import hashlib  # deferred: the import costs ~4 ms, paid only by a write
+
     data = np.asarray(data, dtype=np.float64)
     tables = _tables()
     n_rows, n_cols = data.shape
@@ -181,8 +186,14 @@ def write_csv(path, data, header: str) -> None:
     field_t[_SEP] = ord(",")
     field_t[_SEP, n_cols - 1::n_cols] = ord("\n")
     field = np.empty((BLOCK_ROWS * n_cols, _FIELD), dtype=np.uint8)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
+        head = header.encode() + b"\n"
+        fh.write(head)
+        digest.update(head)
         for r in range(0, n_rows, BLOCK_ROWS):
             v = data[r:r + BLOCK_ROWS].ravel()
-            fh.write(_format_block(v, tables, field_t[:, :v.size], field[:v.size]))
+            chunk = _format_block(v, tables, field_t[:, :v.size], field[:v.size])
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.digest()

@@ -300,6 +300,8 @@ def test_report_bad_window_exits_2(tmp_path, capsys):
     (51, ["--dwell", "0", "--scenario", "{dir}/sc.json"], "error: dwell must be >= 1\n"),
     (51, ["--window=-5:-1"], "selects no samples"),
     (1, [], "a report needs >= 2 samples, got 1"),
+    (51, ["--window", "40:50"],
+     "window [40.0, 50.0] ends after the trace (last sample at 0.05 s)"),
 ])
 def test_report_bad_request_exits_2(rows, options, message, tmp_path, capsys):
     sc = replace(nofault_scenario(), duration=0.05)

@@ -1,9 +1,12 @@
+import hashlib
+import io
 import json
 import math
 import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -338,6 +341,125 @@ def test_edited_trace_cell_reads_or_raises_config_error(three_row_csv, row, colu
         cells[column] = text
     lines[row] = ",".join(cells)
     _reads_or_config_error("\n".join(lines) + "\n")
+
+
+# --- trace sidecar ------------------------------------------------------------
+
+def _read(path, parsed: bool):
+    """read_csv's array as int64 bits, or its ConfigError text; `parsed` says
+    whether the CSV must have been parsed (True) or loaded from its sidecar."""
+    with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
+        warnings.simplefilter("error")
+        try:
+            result = SimTrace.read_csv(path).data.view(np.int64)
+        except ConfigError as exc:
+            result = str(exc)
+    assert parse.called == parsed
+    return result
+
+
+def _assert_same_read(a, b) -> None:
+    assert type(a) is type(b)
+    if isinstance(a, str):
+        assert a == b
+    else:
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@st.composite
+def trace_arrays(draw) -> np.ndarray:
+    """(n, 41) doubles, n = 0-4, from floats() (NaN, infinities, signed zeros,
+    subnormals) or from its finite part; `t` a 1 ms grid or as drawn."""
+    n = draw(st.integers(0, 4))
+    finite = draw(st.booleans())
+    cells = draw(st.lists(st.floats(allow_nan=not finite, allow_infinity=not finite),
+                          min_size=41 * n, max_size=41 * n))
+    data = np.array(cells, dtype=np.float64).reshape(n, 41)
+    if draw(st.booleans()):
+        data[:, 0] = np.arange(n) * 1e-3
+    return data
+
+
+@settings(max_examples=200)
+@given(trace_arrays())
+def test_sidecar_read_equals_csv_parse(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        SimTrace(data=data).write_csv(path)
+        cached = _read(path, parsed=False)
+        Path(f"{path}.f64").unlink()
+        _assert_same_read(cached, _read(path, parsed=True))
+
+
+@pytest.mark.parametrize("name", ["fault_trace", "noisy_trace"])
+def test_sidecar_read_equals_csv_parse_on_traces(name, request, tmp_path):
+    data = request.getfixturevalue(name).data
+    path = tmp_path / "trace.csv"
+    SimTrace(data=data).write_csv(path)
+    cached = _read(path, parsed=False)
+    Path(f"{path}.f64").unlink()
+    _assert_same_read(cached, _read(path, parsed=True))
+    _assert_same_read(cached, data.view(np.int64))
+
+
+def _short_data() -> np.ndarray:
+    return run_scenario(replace(nofault_scenario(), duration=0.002)).data
+
+
+def _sidecar_of_another_trace(path, sidecar: bytes) -> bytes:
+    other = path.with_name("other.csv")
+    SimTrace(data=_short_data()[:2]).write_csv(other)
+    return Path(f"{other}.f64").read_bytes()
+
+
+def _csv_rewritten(path, sidecar: bytes) -> bytes:
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    return sidecar
+
+
+def _object_array_sidecar(path, sidecar: bytes) -> bytes:
+    npy = io.BytesIO()
+    np.lib.format.write_array(npy, np.array([1.0, "x"], dtype=object), allow_pickle=True)
+    assert sidecar[8:40] == hashlib.sha256(path.read_bytes()).digest()
+    return sidecar[:72] + npy.getvalue()  # the CSV digest holds
+
+
+def _float32_sidecar(path, sidecar: bytes) -> bytes:
+    data = _short_data().astype(np.float32)
+    npy = io.BytesIO()
+    np.lib.format.write_array(npy, data)
+    return sidecar[:40] + hashlib.sha256(data).digest() + npy.getvalue()  # both digests hold
+
+
+# Each maps (CSV path, sidecar bytes) to the sidecar's new bytes, or None to delete it.
+SIDECAR_FAULTS = {
+    "missing": lambda path, sidecar: None,
+    "cut-in-magic": lambda path, sidecar: sidecar[:4],
+    "cut-in-digests": lambda path, sidecar: sidecar[:40],
+    "cut-in-npy-header": lambda path, sidecar: sidecar[:90],
+    "cut-in-data": lambda path, sidecar: sidecar[:-8],
+    "data-byte-flipped": lambda path, sidecar: sidecar[:-1] + bytes([sidecar[-1] ^ 1]),
+    "from-another-trace": _sidecar_of_another_trace,
+    "csv-rewritten": _csv_rewritten,
+    "object-array": _object_array_sidecar,
+    "float32-array": _float32_sidecar,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_FAULTS))
+def test_sidecar_fault_falls_back_to_csv_parse(case, tmp_path):
+    path = tmp_path / "trace.csv"
+    SimTrace(data=_short_data()).write_csv(path)
+    sidecar = Path(f"{path}.f64")
+    changed = SIDECAR_FAULTS[case](path, sidecar.read_bytes())
+    if changed is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_bytes(changed)
+    got = _read(path, parsed=True)
+    sidecar.unlink(missing_ok=True)
+    _assert_same_read(got, _read(path, parsed=True))
 
 
 # --- closed-loop runs ----------------------------------------------------------
