@@ -159,17 +159,18 @@ def reach_time(t, sigma, epsilon: float, dwell: int = 1) -> float | None:
     """First time |sigma| < epsilon holds for `dwell` consecutive samples.
 
     Returns the time of the first sample of that run, or None if the band is
-    never held long enough.
+    never held long enough.  Each `dwell`-long window is counted as the
+    difference of two running totals, so the cost does not grow with `dwell`.
     """
     if dwell < 1:
         raise ValueError("dwell must be >= 1")
     t = np.asarray(t, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    below = (np.abs(sigma) < epsilon).astype(int)
+    below = np.abs(sigma) < epsilon  # a NaN sigma is never in band
     if below.size < dwell:
         return None
-    runs = np.convolve(below, np.ones(dwell, dtype=int), mode="valid")
-    hits = np.nonzero(runs == dwell)[0]
+    held = np.concatenate(([0], np.cumsum(below, dtype=np.int64)))
+    hits = np.flatnonzero(held[dwell:] - held[:-dwell] == dwell)
     if hits.size == 0:
         return None
     return float(t[hits[0]])

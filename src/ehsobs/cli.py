@@ -128,6 +128,7 @@ def _cmd_compare(args) -> int:
         trace.write_csv(out / f"trace_{kind}.csv")
         eps = scenario.observer.epsilons() if kind == "astw" else None
         reports[kind] = trace_metrics(trace, window=_default_window(trace), epsilons=eps)
+        del trace  # the next simulation runs without this trace held
     table = comparison_table(reports)
     _write_json({k: r.to_dict() for k, r in reports.items()}, out / "report.json")
     (out / "report.txt").write_text(table, encoding="utf-8")

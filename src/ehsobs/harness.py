@@ -50,9 +50,11 @@ TWO_PI = 2.0 * math.pi
 U1_RANGE = (-10.0, 10.0)
 U2_RANGE = (0.0, 5.0)
 
-# A run holds ~0.5 kB of trace and noise buffers per record, so this
-# ceiling (2.8 h of simulated time at 1 ms) bounds a run at ~5 GB.
+# A run holds 328 B of trace per record (41 float64 columns) and one block of
+# noise rows, so this ceiling (2.8 h of simulated time at 1 ms) bounds a run
+# at ~3.3 GB.
 MAX_RECORDS = 10**7
+NOISE_BLOCK = 1024  # noise rows drawn, and held as Python floats, at a time
 
 
 class ConfigError(ValueError):
@@ -264,7 +266,7 @@ class SimTrace:
 
     def write_csv(self, path) -> None:
         """Write the CSV at `path`, then the sidecar that lets read_csv skip parsing it."""
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data, dtype=np.float64)
         csv_digest = textfmt.write_csv(path, data, header=",".join(TRACE_COLUMNS))
         _write_sidecar(path, data, csv_digest)
 
@@ -308,11 +310,13 @@ def _check_rows(path, data: np.ndarray) -> None:
 # --- trace sidecar -----------------------------------------------------------
 # `<trace>.csv.f64` caches the parsed trace beside its CSV, as a hash-checked
 # .pyc caches a module: the magic, the sha256 of the CSV bytes, the sha256 of
-# the array bytes, then the float64 array as an .npy stream.  The CSV stays
-# authoritative; the sidecar is used only while both digests hold, so a CSV
-# edited, replaced or truncated after the write is parsed again.
+# the array bytes, then the float64 array as a column-major .npy stream, so
+# every column a report reads is contiguous.  The CSV stays authoritative; the
+# sidecar is used only while both digests hold, so a CSV edited, replaced or
+# truncated after the write is parsed again, and so is a sidecar of another
+# version.
 
-SIDECAR_MAGIC = b"EHSOBS\x00\x01"  # format name and version
+SIDECAR_MAGIC = b"EHSOBS\x00\x02"  # format name and version
 _CSV_BLOCK = 1 << 20  # the CSV is hashed in blocks, never held whole
 
 
@@ -321,16 +325,41 @@ def _sidecar_path(path) -> str:
 
 
 def _write_sidecar(path, data: np.ndarray, csv_digest: bytes) -> None:
-    """Cache C-contiguous float64 `data` beside the CSV whose bytes hash to `csv_digest`."""
+    """Cache float64 `data` column by column beside the CSV whose bytes hash to `csv_digest`."""
     import hashlib  # deferred: the import costs ~4 ms of every start-up
 
+    digest = hashlib.sha256()
     with open(_sidecar_path(path), "wb") as fh:
-        fh.write(SIDECAR_MAGIC + csv_digest + hashlib.sha256(data).digest())
-        np.lib.format.write_array(fh, data, allow_pickle=False)
+        # the array digest goes in last: a write cut short leaves zeros, which never match
+        fh.write(SIDECAR_MAGIC + csv_digest + bytes(32))
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(data.dtype),
+            "fortran_order": True, "shape": data.shape})
+        for column in data.T:  # one column copied at a time, never the whole array
+            column = np.ascontiguousarray(column)
+            digest.update(column)
+            fh.write(column)
+        fh.seek(len(SIDECAR_MAGIC) + len(csv_digest))
+        fh.write(digest.digest())
+
+
+def _file_sha256(path) -> bytes:
+    """sha256 of the file at `path`, read in blocks into one buffer, which is
+    freed on return, before the caller loads the array."""
+    import hashlib  # deferred: the import costs ~4 ms of every start-up
+
+    digest = hashlib.sha256()
+    block = bytearray(_CSV_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.digest()
 
 
 def _read_sidecar(path) -> np.ndarray | None:
-    """The array cached beside the CSV at `path`, or None unless both digests hold."""
+    """The column-major array cached beside the CSV at `path`, or None unless both
+    digests hold."""
     import hashlib  # deferred: the import costs ~4 ms of every start-up
 
     try:
@@ -339,18 +368,14 @@ def _read_sidecar(path) -> np.ndarray | None:
             magic, csv_digest, data_digest = head[:8], head[8:40], head[40:]
             if magic != SIDECAR_MAGIC:  # a cut digest is short, so it never matches
                 return None
-            digest = hashlib.sha256()
-            with open(path, "rb") as csv:
-                while block := csv.read(_CSV_BLOCK):
-                    digest.update(block)
-            if digest.digest() != csv_digest:
+            if _file_sha256(path) != csv_digest:
                 return None
             data = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError):  # missing, truncated or not an .npy stream
         return None
-    if data.dtype != np.float64 or data.ndim != 2 or not data.flags.c_contiguous:
+    if data.dtype != np.float64 or data.ndim != 2 or not data.flags.f_contiguous:
         return None
-    if hashlib.sha256(data).digest() != data_digest:
+    if hashlib.sha256(data.T).digest() != data_digest:  # data.T: the columns, in order
         return None
     return data
 
@@ -460,11 +485,10 @@ def run_scenario(scenario: Scenario, observer_kind: str | None = None,
         sc = replace(sc, seed=seed)
 
     n = sc.n_records()
-    rng = np.random.default_rng(sc.seed)
     std = np.array(sc.noise_std.as_tuple())
     if std.any():
-        noise = (rng.normal(size=(n, 4)) * std).tolist()
-    else:  # noise-free: skip the draw; x + 0.0 == x for every reading
+        noise = _noise_rows(np.random.default_rng(sc.seed), std, n)
+    else:  # noise-free: no generator, no draw; x + 0.0 == x for every reading
         noise = itertools.repeat((0.0, 0.0, 0.0, 0.0), n)
 
     # supply integrator preloaded so the run starts at the pressure setpoint
@@ -478,6 +502,17 @@ def run_scenario(scenario: Scenario, observer_kind: str | None = None,
                                          advance=k < n - 1)
         rows[k] = record
     return SimTrace(data=rows)
+
+
+def _noise_rows(rng: np.random.Generator, std: np.ndarray, n: int):
+    """n rows of scaled normal draws, drawn NOISE_BLOCK rows at a time.
+
+    Successive draws continue one stream, so the rows equal those of one
+    (n, 4) draw, while only one block is held as Python floats at a time.
+    """
+    return itertools.chain.from_iterable(
+        (rng.normal(size=(min(NOISE_BLOCK, n - k), 4)) * std).tolist()
+        for k in range(0, n, NOISE_BLOCK))
 
 
 # --- scenario (de)serialization -------------------------------------------

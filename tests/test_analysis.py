@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehsobs.analysis import (
     chattering_index,
@@ -162,3 +164,27 @@ def test_reach_time_dwell_requires_persistence():
     sigma = np.array([1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0.0])
     assert reach_time(t, sigma, 0.5, dwell=3) == pytest.approx(t[3])
     assert reach_time(t, sigma, 0.5, dwell=5) == pytest.approx(t[7])
+
+
+def _reach_time_by_convolution(t, sigma, epsilon, dwell):
+    """The reference: count each dwell-long window with a dwell-long kernel."""
+    below = (np.abs(sigma) < epsilon).astype(int)
+    if below.size < dwell:
+        return None
+    runs = np.convolve(below, np.ones(dwell, dtype=int), mode="valid")
+    hits = np.nonzero(runs == dwell)[0]
+    return None if hits.size == 0 else float(t[hits[0]])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_reach_time_equals_convolution(data):
+    """In band (|sigma| < 1) is drawn as a bool pattern; +-0 sit in band, NaN and
+    +-inf never do."""
+    pattern = data.draw(st.lists(st.booleans(), max_size=300))
+    dwell = data.draw(st.integers(1, len(pattern) + 2))
+    inside = st.sampled_from([0.0, -0.0, 0.5, -0.999])
+    outside = st.sampled_from([math.nan, 1.0, -1.0, math.inf, -math.inf, 3.0])
+    sigma = np.array([data.draw(inside if b else outside) for b in pattern], dtype=float)
+    t = np.arange(len(pattern)) * 1e-3
+    assert reach_time(t, sigma, 1.0, dwell) == _reach_time_by_convolution(t, sigma, 1.0, dwell)
