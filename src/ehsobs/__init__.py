@@ -64,9 +64,6 @@ from .plant import (
     PlantState,
     advance_plant,
     leakage_flows,
-    pdv_flows,
-    plant_derivative,
-    pressure_rate_coeffs,
 )
 from .reconstruction import (
     FaultEstimate,

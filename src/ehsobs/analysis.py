@@ -17,8 +17,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
 
@@ -114,6 +112,8 @@ class Norms(NamedTuple):
 
 
 def _trapz(y: np.ndarray, x: np.ndarray) -> float:
+    import numpy as np
+
     trap = getattr(np, "trapezoid", None) or np.trapz
     return float(trap(y, x))
 
@@ -127,6 +127,8 @@ def norms(t, e, window: tuple[float, float] = (10.0, 30.0)) -> Norms:
     supremum of |e| restricted to `window`, which cuts off the initial
     transient.
     """
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     e = np.asarray(e, dtype=float)
     if t.shape != e.shape or t.size < 2:
@@ -141,12 +143,16 @@ def norms(t, e, window: tuple[float, float] = (10.0, 30.0)) -> Norms:
 
 def rms(e) -> float:
     """Root-mean-square of a sampled series (the conventional quadratic norm)."""
+    import numpy as np
+
     e = np.asarray(e, dtype=float)
     return float(np.sqrt(np.mean(e * e)))
 
 
 def chattering_index(t, e) -> float:
     """Total variation of the trace per second of trace duration."""
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     e = np.asarray(e, dtype=float)
     if t.size < 2:
@@ -162,6 +168,8 @@ def reach_time(t, sigma, epsilon: float, dwell: int = 1) -> float | None:
     never held long enough.  Each `dwell`-long window is counted as the
     difference of two running totals, so the cost does not grow with `dwell`.
     """
+    import numpy as np
+
     if dwell < 1:
         raise ValueError("dwell must be >= 1")
     t = np.asarray(t, dtype=float)
@@ -208,6 +216,8 @@ class MetricsReport:
 
 def channel_metrics(t, e, window=(10.0, 30.0), epsilon: float | None = None,
                     dwell: int = 1, gains=None) -> ChannelMetrics:
+    import numpy as np
+
     n = norms(t, e, window)
     return ChannelMetrics(
         l1=n.l1,

@@ -182,6 +182,9 @@ def _cmd_report(args) -> int:
     if args.dwell < 1:
         raise ConfigError("dwell must be >= 1")
     window = None if args.window is None else _parse_window(args.window)
+    eps = None
+    if args.scenario is not None:  # read before the trace: a bad scenario fails fast
+        eps = read_scenario(args.scenario).observer.epsilons()
     trace = SimTrace.read_csv(args.trace)
     if len(trace) < 2:
         raise ConfigError(f"{args.trace}: a report needs >= 2 samples, got {len(trace)}")
@@ -190,10 +193,6 @@ def _cmd_report(args) -> int:
     elif window[1] > trace["t"][-1]:
         raise ConfigError(f"{args.trace}: window [{window[0]}, {window[1]}] ends after "
                           f"the trace (last sample at {float(trace['t'][-1])} s)")
-    eps = None
-    if args.scenario is not None:
-        scenario = read_scenario(args.scenario)
-        eps = scenario.observer.epsilons()
     try:
         report = trace_metrics(trace, window=window, epsilons=eps, dwell=args.dwell)
     except EmptyWindow as exc:

@@ -23,9 +23,6 @@ import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from . import textfmt
 from .cells import AstwCellParams
 from .observer import (
     FosmoGains,
@@ -266,12 +263,18 @@ class SimTrace:
 
     def write_csv(self, path) -> None:
         """Write the CSV at `path`, then the sidecar that lets read_csv skip parsing it."""
+        import numpy as np
+
+        from . import textfmt
+
         data = np.asarray(self.data, dtype=np.float64)
         csv_digest = textfmt.write_csv(path, data, header=",".join(TRACE_COLUMNS))
         _write_sidecar(path, data, csv_digest)
 
     @classmethod
     def read_csv(cls, path) -> "SimTrace":
+        import numpy as np
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 header = fh.readline().strip()
@@ -294,6 +297,8 @@ class SimTrace:
 
 def _check_rows(path, data: np.ndarray) -> None:
     """The rules a read trace must meet, whether parsed or loaded from its sidecar."""
+    import numpy as np
+
     if data.shape[0] == 0 or data.shape[1] != len(TRACE_COLUMNS):
         raise ConfigError(f"{path}: no rows of {len(TRACE_COLUMNS)} columns")
     if not np.isfinite(data).all():
@@ -328,6 +333,8 @@ def _write_sidecar(path, data: np.ndarray, csv_digest: bytes) -> None:
     """Cache float64 `data` column by column beside the CSV whose bytes hash to `csv_digest`."""
     import hashlib  # deferred: the import costs ~4 ms of every start-up
 
+    import numpy as np
+
     digest = hashlib.sha256()
     with open(_sidecar_path(path), "wb") as fh:
         # the array digest goes in last: a write cut short leaves zeros, which never match
@@ -361,6 +368,8 @@ def _read_sidecar(path) -> np.ndarray | None:
     """The column-major array cached beside the CSV at `path`, or None unless both
     digests hold."""
     import hashlib  # deferred: the import costs ~4 ms of every start-up
+
+    import numpy as np
 
     try:
         with open(_sidecar_path(path), "rb") as fh:
@@ -478,6 +487,8 @@ def run_scenario(scenario: Scenario, observer_kind: str | None = None,
     observer_kind / seed override the scenario fields.  The run is fully
     deterministic: (scenario, seed) fixes every record bit-for-bit.
     """
+    import numpy as np
+
     sc = scenario
     if observer_kind is not None:
         sc = replace(sc, observer=replace(sc.observer, kind=observer_kind))

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import reach_time
 from .plant import DomainViolation, PlantParams
 
@@ -32,6 +30,8 @@ def lowpass(x, dt: float, tau: float) -> np.ndarray:
 
     tau below dt would make the recursion unstable and is rejected.
     """
+    import numpy as np
+
     if not tau >= dt:
         raise ValueError("filter tau must be at least the sample interval")
     x = np.asarray(x, dtype=float)
@@ -51,6 +51,8 @@ def reconstruct_faults(mu_eq_1, mu_eq_2, y4, p: PlantParams):
     or arrays; raises DomainViolation where a chamber volume would be
     non-positive.
     """
+    import numpy as np
+
     mu_eq_1 = np.asarray(mu_eq_1, dtype=float)
     mu_eq_2 = np.asarray(mu_eq_2, dtype=float)
     y4 = np.asarray(y4, dtype=float)
@@ -82,6 +84,8 @@ class FaultEstimate:
     valid_from: dict[str, float | None]
 
     def valid_mask(self, which: str) -> np.ndarray:
+        import numpy as np
+
         onset = self.valid_from[which]
         if onset is None:
             return np.zeros_like(self.t, dtype=bool)
@@ -98,6 +102,8 @@ def estimate_faults(trace, scenario, dwell: int = SLIDING_DWELL) -> FaultEstimat
     dead-bands of channels 1, 2 and 4; a scenario without an adaptive block
     has none, and every valid_from entry is then None.
     """
+    import numpy as np
+
     dt, tau = scenario.dt, scenario.reconstruction_tau
     f1_hat, f2_hat = reconstruct_faults(lowpass(trace["mu1"], dt, tau),
                                         lowpass(trace["mu2"], dt, tau),

@@ -302,6 +302,9 @@ def test_report_bad_window_exits_2(tmp_path, capsys):
     (1, [], "a report needs >= 2 samples, got 1"),
     (51, ["--window", "40:50"],
      "window [40.0, 50.0] ends after the trace (last sample at 0.05 s)"),
+    # the later --trace wins: neither file exists, and the scenario is named
+    (51, ["--trace", "{dir}/none.csv", "--scenario", "{dir}/none.json"],
+     "cannot read scenario file"),
 ])
 def test_report_bad_request_exits_2(rows, options, message, tmp_path, capsys):
     sc = replace(nofault_scenario(), duration=0.05)

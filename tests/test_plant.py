@@ -13,12 +13,61 @@ from ehsobs.plant import (
     PlantState,
     advance_plant,
     leakage_flows,
-    pdv_flows,
-    plant_derivative,
-    pressure_rate_coeffs,
 )
 
 P = PlantParams()
+
+
+# --- oracles -----------------------------------------------------------------
+# The plant's equations term by term.  advance_plant inlines them for speed;
+# these are what it is checked against.
+
+def pdv_flows(x1: float, P1: float, P2: float, Ps: float, PT: float,
+              p: PlantParams) -> tuple[float, float]:
+    """Orifice flows through the PDV into (Q1) and out of (Q2) the cylinder.
+
+    Spool sign selects which chamber connects to supply and which to tank.
+    Square-root arguments are clamped at zero: a reversed pressure drop cannot
+    drive backflow through the metering orifice.
+    """
+    k = p.C_d * p.w * x1 * math.sqrt(2.0 / p.rho)
+    if x1 >= 0.0:
+        dp1 = Ps - P1
+        dp2 = P2 - PT
+    else:
+        dp1 = P1 - PT
+        dp2 = Ps - P2
+    q1 = k * math.sqrt(dp1) if dp1 > 0.0 else 0.0
+    q2 = k * math.sqrt(dp2) if dp2 > 0.0 else 0.0
+    return q1, q2
+
+
+def pressure_rate_coeffs(x_c: float, p: PlantParams) -> tuple[float, float]:
+    """Bulk-modulus-over-volume coefficients [Pa/m^3] for both chambers.
+
+    These map net chamber flow to pressure rate.  Raises DomainViolation if
+    the piston position would make a chamber volume non-positive.
+    """
+    v1 = p.V01 + p.A1 * x_c
+    v2 = p.V02 - p.A2 * x_c
+    if v1 <= 0.0 or v2 <= 0.0:
+        raise DomainViolation(f"chamber volume non-positive at x_c={x_c!r}")
+    return p.beta / v1, p.beta / v2
+
+
+def plant_derivative(s: PlantState, u: ControlInputs, f: FaultInputs,
+                     p: PlantParams) -> tuple[float, float, float, float, float, float]:
+    """Continuous-time state derivative of the full plant."""
+    g1, g2 = pressure_rate_coeffs(s.x5, p)
+    Q1, Q2 = pdv_flows(s.x1, s.x2, s.x3, s.x4, p.P_T, p)
+    QL1, QL2 = leakage_flows(s.x2, s.x3, p.P_T, f)
+    dx1 = (-s.x1 + p.K_v * u.u1) / p.tau_v
+    dx2 = g1 * (Q1 - p.A1 * s.x6 + QL1)
+    dx3 = g2 * (-Q2 + p.A2 * s.x6 + QL2)
+    dx4 = (-s.x4 + p.K_r * u.u2) / p.tau_s + f.Delta
+    dx5 = s.x6
+    dx6 = (-p.c * s.x6 + p.A1 * s.x2 - p.A2 * s.x3 + f.f_d) / p.m
+    return dx1, dx2, dx3, dx4, dx5, dx6
 
 
 def test_areas_derived_from_diameters():
