@@ -27,14 +27,12 @@ import contextlib, io, sys
 from pathlib import Path
 
 import ehsobs
-import ehsobs.cli
 from ehsobs.cli import main
 
 for path in sorted(Path({str(ROOT / "scenarios")!r}).glob("*.json")):
     sc = ehsobs.read_scenario(path)
     ehsobs.write_scenario(sc, "copy.json")
     assert ehsobs.read_scenario("copy.json") == sc, path
-Path("bad.json").write_text('{{"observer": {{"kind": "astw", "lambda2": 1}}}}')
 
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
@@ -52,6 +50,7 @@ print("ok")
 
 
 def test_non_array_paths_never_import_numpy(tmp_path):
+    (tmp_path / "bad.json").write_text('{"observer": {"kind": "astw", "lambda2": 1}}')
     assert run_fresh(NON_ARRAY_PATHS, tmp_path) == "ok\n"
 
 
