@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # numpy is imported by the array functions themselves
+    import numpy as np
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 

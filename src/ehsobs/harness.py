@@ -21,7 +21,7 @@ import os
 import types
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .cells import AstwCellParams
 from .observer import (
@@ -41,6 +41,9 @@ from .plant import (
     leakage_flows,
 )
 from .reconstruction import lowpass_step
+
+if TYPE_CHECKING:  # numpy is imported by the array functions themselves
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 

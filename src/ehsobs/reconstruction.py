@@ -15,9 +15,13 @@ with a dwell test on the sliding variable (analysis.reach_time).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .analysis import reach_time
 from .plant import DomainViolation, PlantParams
+
+if TYPE_CHECKING:  # numpy is imported by the array functions themselves
+    import numpy as np
 
 
 def lowpass_step(state: float, x: float, dt: float, tau: float) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehsobs.plant import (
@@ -253,6 +253,28 @@ def test_advance_single_substep_equals_euler():
     nxt = advance_plant(s, u, f, P, dt=1e-4, substeps=1)
     ref = [a + 1e-4 * b for a, b in zip(tuple(s), d)]
     assert tuple(nxt) == pytest.approx(ref, rel=1e-12)
+
+
+@given(x1=st.floats(-1.2e-3, 1.2e-3), p1=st.floats(0.0, 5e6), p2=st.floats(0.0, 5e6),
+       ps=st.floats(0.0, 5e6), xc=st.floats(0.001, 0.199), v=st.floats(-1.0, 1.0),
+       u1=st.floats(-10.0, 10.0), u2=st.floats(0.0, 5.0),
+       leaks=st.tuples(*[st.floats(0.0, 1e-10)] * 3),
+       f_d=st.floats(-100.0, 100.0), delta=st.floats(-1e5, 1e5))
+@settings(max_examples=300, deadline=None)
+def test_advance_substep_equals_euler_over_the_domain(x1, p1, p2, ps, xc, v, u1, u2,
+                                                      leaks, f_d, delta):
+    # the inlined step against the term-by-term oracle wherever no clamp fires
+    dt = 1e-5
+    s = PlantState(x1, p1, p2, ps, xc, v)
+    u = ControlInputs(u1=u1, u2=u2)
+    f = FaultInputs(*leaks, f_d=f_d, Delta=delta)
+    d = plant_derivative(s, u, f, P)
+    ref = [a + dt * b for a, b in zip(tuple(s), d)]
+    assume(min(ref[1:4]) >= 0.0 and ref[3] <= P.P_s_max and 0.0 <= ref[4] <= P.stroke)
+    nxt = advance_plant(s, u, f, P, dt=dt, substeps=1)
+    for got, a, b, want in zip(nxt, tuple(s), d, ref):
+        # both sum the same terms in a different order: rounding of the terms
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * (abs(a) + dt * abs(b)))
 
 
 def test_advance_hard_stop_clamps_position_and_velocity():

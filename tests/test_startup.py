@@ -60,7 +60,7 @@ def readme_library_example() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def test_readme_library_example_imports_numpy_on_first_use(tmp_path):
+def test_readme_library_example_runs(tmp_path):
     # the example as written simulates and reconstructs; the lines after it
     # write the trace and read it back, through the sidecar and through the CSV
     code = readme_library_example() + """
