@@ -121,7 +121,7 @@ def _trapz(y: np.ndarray, x: np.ndarray) -> float:
     return float(trap(y, x))
 
 
-def norms(t, e, window: tuple[float, float] = (10.0, 30.0)) -> Norms:
+def norms(t, e, window: tuple[float, float]) -> Norms:
     """Integral error norms over a uniformly sampled trace.
 
     l1 integrates |e| over the whole trace (trapezoidal rule) and l2 is its
@@ -164,7 +164,7 @@ def chattering_index(t, e) -> float:
     return float(np.sum(np.abs(np.diff(e))) / duration)
 
 
-def reach_time(t, sigma, epsilon: float, dwell: int = 1) -> float | None:
+def reach_time(t, sigma, epsilon: float, dwell: int) -> float | None:
     """First time |sigma| < epsilon holds for `dwell` consecutive samples.
 
     Returns the time of the first sample of that run, or None if the band is
@@ -217,8 +217,8 @@ class MetricsReport:
         }
 
 
-def channel_metrics(t, e, window=(10.0, 30.0), epsilon: float | None = None,
-                    dwell: int = 1, gains=None) -> ChannelMetrics:
+def channel_metrics(t, e, *, window: tuple[float, float], dwell: int,
+                    epsilon: float | None = None, gains=None) -> ChannelMetrics:
     import numpy as np
 
     n = norms(t, e, window)

@@ -18,7 +18,7 @@ state is a NamedTuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 
@@ -56,10 +56,9 @@ class AstwCellParams:
     L1_init: float = 1.0     # initial proportional gain (> L_floor)
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "alpha1", "Gamma1", "lambda1",
-                     "L_floor", "L_ramp", "L1_init"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"AstwCellParams.{name} must be > 0")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"AstwCellParams.{f.name} must be > 0")
         if not self.L1_init > self.L_floor:
             raise ValueError("AstwCellParams.L1_init must exceed L_floor")
 

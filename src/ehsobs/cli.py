@@ -102,18 +102,26 @@ def _require_blocks(scenario: Scenario, kinds, command: str) -> None:
                               f"required by {command}")
 
 
+def _observe(scenario: Scenario, kind: str, seed: int | None, path: Path) -> MetricsReport:
+    """Simulate `scenario` with observer `kind`, write the trace at `path` and
+    return its metrics.  The trace is dropped on return, so a caller that
+    observes several kinds holds one trace at a time."""
+    trace = run_scenario(scenario, observer_kind=kind, seed=seed)
+    trace.write_csv(path)
+    eps = scenario.observer.epsilons() if kind == "astw" else None
+    return trace_metrics(trace, window=_default_window(trace), epsilons=eps)
+
+
 def _cmd_run(args) -> int:
     scenario = read_scenario(args.scenario)
     kind = args.observer or scenario.observer.kind
     _require_blocks(scenario, (kind,), "run")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace = run_scenario(scenario, observer_kind=args.observer, seed=args.seed)
-    trace.write_csv(out / "trace.csv")
-    eps = scenario.observer.epsilons() if kind == "astw" else None
-    report = trace_metrics(trace, window=_default_window(trace), epsilons=eps)
+    report = _observe(scenario, kind, args.seed, out / "trace.csv")
     _write_json(report.to_dict(), out / "metrics.json")
-    print(f"wrote {out / 'trace.csv'} ({len(trace)} records) and {out / 'metrics.json'}")
+    print(f"wrote {out / 'trace.csv'} ({scenario.n_records()} records) "
+          f"and {out / 'metrics.json'}")
     return EXIT_OK
 
 
@@ -122,13 +130,8 @@ def _cmd_compare(args) -> int:
     _require_blocks(scenario, OBSERVER_KINDS, "compare")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports: dict[str, MetricsReport] = {}
-    for kind in OBSERVER_KINDS:
-        trace = run_scenario(scenario, observer_kind=kind, seed=args.seed)
-        trace.write_csv(out / f"trace_{kind}.csv")
-        eps = scenario.observer.epsilons() if kind == "astw" else None
-        reports[kind] = trace_metrics(trace, window=_default_window(trace), epsilons=eps)
-        del trace  # the next simulation runs without this trace held
+    reports = {kind: _observe(scenario, kind, args.seed, out / f"trace_{kind}.csv")
+               for kind in OBSERVER_KINDS}
     table = comparison_table(reports)
     _write_json({k: r.to_dict() for k, r in reports.items()}, out / "report.json")
     (out / "report.txt").write_text(table, encoding="utf-8")
@@ -142,8 +145,6 @@ def _cmd_check_gains(args) -> int:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"--{name} must be a finite number, got {value}")
-    if args.lambda1 <= 0.0 or args.lambda2 <= 0.0:
-        raise ConfigError("lambda1 and lambda2 must be > 0")
     if args.delta1 < 0.0 or args.delta2 < 0.0:
         raise ConfigError("delta1 and delta2 must be >= 0")
     if args.v0 is not None and args.v0 < 0.0:
@@ -155,6 +156,8 @@ def _cmd_check_gains(args) -> int:
                                   args.delta1, args.delta2, V0=args.v0)
     except ArithmeticError as exc:  # finite inputs whose powers or ratios overflow
         raise ConfigError(f"gain numbers out of range ({exc})") from exc
+    except ValueError as exc:  # lambda1 or lambda2 <= 0
+        raise ConfigError(str(exc)) from exc
     payload = {
         "ok": verdict.ok,
         "margin": verdict.margin,

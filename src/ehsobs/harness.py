@@ -80,9 +80,9 @@ class ControllerGains:
     ki_supply: float = 2.0e-5  # [V/(Pa*s)]
 
     def __post_init__(self) -> None:
-        for name in ("kp_pos", "ki_pos", "kp_supply", "ki_supply"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"ControllerGains.{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0.0:
+                raise ValueError(f"ControllerGains.{f.name} must be >= 0")
 
 
 @dataclass(frozen=True)

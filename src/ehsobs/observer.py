@@ -162,7 +162,7 @@ def init_observer(cfg: ObserverConfig,
 
 def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
                   u: ControlInputs, p: PlantParams, cfg: ObserverConfig,
-                  dt: float, substeps: int = 1) -> tuple[ObserverState, ChannelInjections]:
+                  dt: float, substeps: int) -> tuple[ObserverState, ChannelInjections]:
     """Advance the observer by one sample interval.
 
     Injections and gains update once per call from the sliding variables at
@@ -221,8 +221,7 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
 
     h = dt / substeps
     tau_v, K_v, tau_s, K_r = p.tau_v, p.K_v, p.tau_s, p.K_r
-    A1, A2, m, c, PT = p.A1, p.A2, p.m, p.c, p.P_T
-    kq = p.C_d * p.w * math.sqrt(2.0 / p.rho)
+    A1, A2, m, c, PT, kq = p.A1, p.A2, p.m, p.c, p.P_T, p.kq
     u1, u2 = u.u1, u.u2
     sqrt = math.sqrt
 

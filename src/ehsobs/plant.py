@@ -23,7 +23,7 @@ values built on every sample (`PlantState`, `FaultInputs`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 
@@ -59,19 +59,18 @@ class PlantParams:
     P_s_max: float = 5.0e6   # supply pressure ceiling [Pa]
     A1: float = field(init=False, repr=False)  # piston-side area [m^2]
     A2: float = field(init=False, repr=False)  # rod-side annular area [m^2]
+    kq: float = field(init=False, repr=False)  # orifice coefficient C_d*w*sqrt(2/rho)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "A1", math.pi * self.d1 ** 2 / 4.0)
         object.__setattr__(self, "A2", math.pi * (self.d1 ** 2 - self.d2 ** 2) / 4.0)
-        positive = (
-            "tau_v", "K_v", "tau_s", "K_r", "beta", "rho", "C_d", "w",
-            "d1", "d2", "V01", "V02", "m", "c", "stroke", "P_s_max",
-        )
-        for name in positive:
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"PlantParams.{name} must be > 0")
+        for f in fields(self):
+            if f.init and f.name != "P_T" and not getattr(self, f.name) > 0.0:
+                raise ValueError(f"PlantParams.{f.name} must be > 0")
         if self.P_T < 0.0:
             raise ValueError("PlantParams.P_T must be >= 0")
+        # after the checks: sqrt(2/rho) needs rho > 0
+        object.__setattr__(self, "kq", self.C_d * self.w * math.sqrt(2.0 / self.rho))
         if not self.A1 > self.A2 > 0.0:
             raise ValueError("need A1 > A2 > 0 (rod diameter below bore diameter)")
         # chamber volumes must stay positive over the full stroke
@@ -122,7 +121,7 @@ def leakage_flows(P1: float, P2: float, PT: float,
 
 
 def advance_plant(s: PlantState, u: ControlInputs, f: FaultInputs,
-                  p: PlantParams, dt: float, substeps: int = 1) -> PlantState:
+                  p: PlantParams, dt: float, substeps: int) -> PlantState:
     """Advance the plant by one sample interval with explicit Euler sub-steps.
 
     Inputs are held over the interval.  After every sub-step pressures are
@@ -140,8 +139,7 @@ def advance_plant(s: PlantState, u: ControlInputs, f: FaultInputs,
     u1, u2 = u.u1, u.u2
     tau_v, K_v, tau_s, K_r = p.tau_v, p.K_v, p.tau_s, p.K_r
     A1, A2, m, c, PT, stroke = p.A1, p.A2, p.m, p.c, p.P_T, p.stroke
-    V01, V02, beta = p.V01, p.V02, p.beta
-    kq = p.C_d * p.w * math.sqrt(2.0 / p.rho)
+    V01, V02, beta, kq = p.V01, p.V02, p.beta, p.kq
     C_i, C_e1, C_e2, f_d, Delta = f.C_i, f.C_e1, f.C_e2, f.f_d, f.Delta
     Ps_max = p.P_s_max
     sqrt = math.sqrt

@@ -96,7 +96,7 @@ class FaultEstimate:
         return self.t >= onset
 
 
-def estimate_faults(trace, scenario, dwell: int = SLIDING_DWELL) -> FaultEstimate:
+def estimate_faults(trace, scenario) -> FaultEstimate:
     """Offline reconstruction over a logged trace (a SimTrace or any mapping
     from column names to arrays).
 
@@ -114,9 +114,8 @@ def estimate_faults(trace, scenario, dwell: int = SLIDING_DWELL) -> FaultEstimat
                                         trace["y4"], scenario.plant)
     t = np.asarray(trace["t"], dtype=float)
     eps = scenario.observer.epsilons()
-    valid_from = {
-        name: None if eps is None else reach_time(t, trace[f"sigma{ch}"], eps[ch - 1], dwell)
-        for name, ch in (("f1", 1), ("f2", 2), ("rho4", 4))
-    }
+    valid_from = {name: None if eps is None else
+                  reach_time(t, trace[f"sigma{ch}"], eps[ch - 1], SLIDING_DWELL)
+                  for name, ch in (("f1", 1), ("f2", 2), ("rho4", 4))}
     return FaultEstimate(t=t, f1_hat=f1_hat, f2_hat=f2_hat,
                          rho4_hat=lowpass(trace["mu4"], dt, tau), valid_from=valid_from)

@@ -158,7 +158,7 @@ def test_criterion_5_observer_comparison(fault_trace, stw_trace, fosmo_trace):
     ok = True
     details = []
     for ch in ("sigma1", "sigma2"):
-        l1 = {name: norms(t, tr[ch]).l1
+        l1 = {name: norms(t, tr[ch], window=(10.0, 30.0)).l1
               for name, tr in (("astw", fault_trace), ("stw", stw_trace),
                                ("fosmo", fosmo_trace))}
         chat = {name: chattering_index(t, tr[ch])

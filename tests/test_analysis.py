@@ -86,13 +86,13 @@ def test_Omega_positive_definite_when_condition_passes():
 
 def test_norms_zero_trace():
     t = np.linspace(0, 30, 3001)
-    n = norms(t, np.zeros_like(t))
+    n = norms(t, np.zeros_like(t), window=(10.0, 30.0))
     assert n == (0.0, 0.0, 0.0)
 
 
 def test_norms_constant_trace():
     t = np.linspace(0.0, 30.0, 30001)
-    n = norms(t, np.full_like(t, 0.1))
+    n = norms(t, np.full_like(t, 0.1), window=(10.0, 30.0))
     assert n.l1 == pytest.approx(3.0, rel=1e-12)
     assert n.l2 == pytest.approx(math.sqrt(3.0), rel=1e-12)
     assert n.linf == pytest.approx(0.1)
@@ -137,7 +137,7 @@ def test_metrics_invariant_under_time_translation():
     rng = np.random.default_rng(3)
     t = np.linspace(0.0, 30.0, 3001)
     e = rng.normal(size=t.size)
-    n0, n1 = norms(t, e), norms(t + 100.0, e, window=(110.0, 130.0))
+    n0, n1 = norms(t, e, window=(10.0, 30.0)), norms(t + 100.0, e, window=(110.0, 130.0))
     assert n0.l1 == pytest.approx(n1.l1)
     assert chattering_index(t, e) == pytest.approx(chattering_index(t + 100.0, e))
 
@@ -151,12 +151,12 @@ def test_reach_time_exponential_crossing():
 
 def test_reach_time_zero_trace():
     t = np.linspace(0.0, 1.0, 101)
-    assert reach_time(t, np.zeros_like(t), 0.1) == 0.0
+    assert reach_time(t, np.zeros_like(t), 0.1, dwell=1) == 0.0
 
 
 def test_reach_time_unreached():
     t = np.linspace(0.0, 1.0, 101)
-    assert reach_time(t, np.ones_like(t), 0.1) is None
+    assert reach_time(t, np.ones_like(t), 0.1, dwell=1) is None
 
 
 def test_reach_time_dwell_requires_persistence():

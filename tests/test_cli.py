@@ -42,6 +42,17 @@ def test_run_observer_override(short_scenario_file, tmp_path):
     assert rc == 0
 
 
+def test_run_uses_the_scenario_observer_kind(tmp_path):
+    sc = replace(default_scenario(), duration=0.05, faults=())
+    sc = replace(sc, observer=replace(sc.observer, kind="stw"))
+    write_scenario(sc, tmp_path / "stw.json")
+    assert main(["run", "--scenario", str(tmp_path / "stw.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    written = SimTrace.read_csv(tmp_path / "out" / "trace.csv").data
+    assert np.array_equal(written, run_scenario(sc, observer_kind="stw").data)
+    assert not np.array_equal(written, run_scenario(sc, observer_kind="astw").data)
+
+
 def test_run_unknown_key_exits_2(tmp_path, capsys):
     d = scenario_to_dict(replace(default_scenario(), duration=1.0, faults=()))
     d["observer"]["kindd"] = "astw"
@@ -197,6 +208,7 @@ def test_check_gains_prints_strict_json(l1, T_r_bound, capsys):
 def test_check_gains_rejects_bad_ratio(capsys):
     rc = main(["check-gains", "--l1", "10", "--lambda1", "0", "--lambda2", "1"])
     assert rc == 2
+    assert capsys.readouterr().err == "error: lambda1 and lambda2 must be > 0\n"
 
 
 @pytest.mark.parametrize("extra, message", [

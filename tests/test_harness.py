@@ -5,7 +5,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -40,8 +40,9 @@ from ehsobs.harness import (
     step_closed_loop,
     write_scenario,
 )
+from ehsobs.cells import AstwCellParams
 from ehsobs.observer import FosmoGains, ObserverConfig, StwGains
-from ehsobs.plant import ControlInputs
+from ehsobs.plant import ControlInputs, PlantParams
 
 
 # --- PI controllers -----------------------------------------------------------
@@ -123,6 +124,22 @@ def test_record_count_ceiling():
 def test_block_rejects_invalid_fields_when_built(build):
     with pytest.raises(ValueError):
         build()
+
+
+# (block, the valid fields it needs, the rule): every init field of each block
+# is checked, and only P_T may be zero
+CHECKED_BLOCKS = ((PlantParams, {}, "must be > 0"),
+                  (AstwCellParams, {"epsilon": 1.0}, "must be > 0"),
+                  (ControllerGains, {}, "must be >= 0"))
+
+
+@pytest.mark.parametrize("block, needs, rule, name", [
+    pytest.param(block, needs, "must be >= 0" if f.name == "P_T" else rule, f.name,
+                 id=f"{block.__name__}.{f.name}")
+    for block, needs, rule in CHECKED_BLOCKS for f in fields(block) if f.init])
+def test_each_checked_field_is_named_when_bad(block, needs, rule, name):
+    with pytest.raises(ValueError, match=rf"^{block.__name__}\.{name} {rule}$"):
+        block(**{**needs, name: -1.0})
 
 
 def test_fault_inputs_step_quantized():

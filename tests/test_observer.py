@@ -10,7 +10,9 @@ from ehsobs.harness import (
     InitialPlantState,
     PositionProfile,
     Scenario,
+    default_scenario,
     nofault_scenario,
+    noisy_scenario,
     run_scenario,
 )
 from ehsobs.observer import (
@@ -173,4 +175,38 @@ def test_observer_step_rejects_bad_args():
     y = (1e6, 1.5e6, 3e6, 0.1)
     obs = init_observer(cfg, y)
     with pytest.raises(ValueError):
-        observer_step(obs, y, ControlInputs(), P, cfg, dt=0.0)
+        observer_step(obs, y, ControlInputs(), P, cfg, dt=0.0, substeps=1)
+
+
+# (trace fixture, scenario it was run from, observer kind)
+REPLAYED_TRACES = {
+    "fault_trace": (default_scenario, "astw"),
+    "stw_trace": (default_scenario, "stw"),
+    "fosmo_trace": (default_scenario, "fosmo"),
+    "noisy_trace": (noisy_scenario, "astw"),
+}
+ESTIMATE_COLUMNS = ("z1_hat", "y1_hat", "y2_hat", "y3_hat", "y4_hat", "z2_hat")
+INJECTION_COLUMNS = tuple(f"{name}{i}" for name in ("sigma", "mu", "L1_", "L2_")
+                          for i in (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("trace_fixture", sorted(REPLAYED_TRACES))
+def test_observer_never_reads_the_plant(trace_fixture, request):
+    # replayed on a trace's measurement and control columns alone, the
+    # observer reproduces every estimate and injection column bit for bit
+    trace = request.getfixturevalue(trace_fixture)
+    build, kind = REPLAYED_TRACES[trace_fixture]
+    sc = build()
+    cfg = replace(sc.observer, kind=kind)
+    ys = list(zip(*(trace[f"y{i}"].tolist() for i in (1, 2, 3, 4))))
+    us = list(map(ControlInputs, trace["u1"].tolist(), trace["u2"].tolist()))
+    obs = init_observer(cfg, ys[0])
+    estimates, injections = [], []
+    for y, u in zip(ys, us):
+        estimates.append(obs.estimates())
+        obs, inj = observer_step(obs, y, u, sc.plant, cfg, sc.dt, sc.substeps)
+        injections.append((*inj.sigma, *inj.mu, *inj.L1, *inj.L2))
+    assert np.array_equal(np.array(estimates),
+                          np.column_stack([trace[c] for c in ESTIMATE_COLUMNS]))
+    assert np.array_equal(np.array(injections),
+                          np.column_stack([trace[c] for c in INJECTION_COLUMNS]))

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ehsobs.harness import default_scenario, scenario_to_dict
 from ehsobs.plant import (
     ControlInputs,
     DomainViolation,
@@ -74,6 +76,14 @@ def test_areas_derived_from_diameters():
     assert P.A1 == pytest.approx(math.pi * 0.016 ** 2 / 4.0)
     assert P.A2 == pytest.approx(math.pi * (0.016 ** 2 - 0.010 ** 2) / 4.0)
     assert P.A1 > P.A2 > 0.0
+
+
+def test_orifice_coefficient_derived_once():
+    # computed when the parameters are built, not read from a scenario file
+    assert P.kq == P.C_d * P.w * math.sqrt(2.0 / P.rho)
+    denser = replace(P, rho=900.0)
+    assert denser.kq == P.C_d * P.w * math.sqrt(2.0 / 900.0) != P.kq
+    assert "kq" not in scenario_to_dict(default_scenario())["plant"]
 
 
 def test_params_validation():
@@ -295,7 +305,7 @@ def test_advance_clamps_pressures():
 def test_advance_rejects_bad_args():
     s = equilibrium_state()
     with pytest.raises(ValueError):
-        advance_plant(s, ControlInputs(), FaultInputs(), P, dt=0.0)
+        advance_plant(s, ControlInputs(), FaultInputs(), P, dt=0.0, substeps=1)
     with pytest.raises(ValueError):
         advance_plant(s, ControlInputs(), FaultInputs(), P, dt=1e-3, substeps=0)
 
