@@ -102,10 +102,10 @@ def _require_blocks(scenario: Scenario, kinds, command: str) -> None:
                               f"required by {command}")
 
 
-def _observe(scenario: Scenario, kind: str, seed: int | None, path: Path) -> MetricsReport:
+def _run_kind(scenario: Scenario, kind: str, seed: int | None, path: Path) -> MetricsReport:
     """Simulate `scenario` with observer `kind`, write the trace at `path` and
     return its metrics.  The trace is dropped on return, so a caller that
-    observes several kinds holds one trace at a time."""
+    runs several kinds holds one trace at a time."""
     trace = run_scenario(scenario, observer_kind=kind, seed=seed)
     trace.write_csv(path)
     eps = scenario.observer.epsilons() if kind == "astw" else None
@@ -118,7 +118,7 @@ def _cmd_run(args) -> int:
     _require_blocks(scenario, (kind,), "run")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = _observe(scenario, kind, args.seed, out / "trace.csv")
+    report = _run_kind(scenario, kind, args.seed, out / "trace.csv")
     _write_json(report.to_dict(), out / "metrics.json")
     print(f"wrote {out / 'trace.csv'} ({scenario.n_records()} records) "
           f"and {out / 'metrics.json'}")
@@ -130,7 +130,7 @@ def _cmd_compare(args) -> int:
     _require_blocks(scenario, OBSERVER_KINDS, "compare")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = {kind: _observe(scenario, kind, args.seed, out / f"trace_{kind}.csv")
+    reports = {kind: _run_kind(scenario, kind, args.seed, out / f"trace_{kind}.csv")
                for kind in OBSERVER_KINDS}
     table = comparison_table(reports)
     _write_json({k: r.to_dict() for k, r in reports.items()}, out / "report.json")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehsobs.cells import AstwCellParams
 from ehsobs.harness import (
     ConfigError,
     ControllerGains,
@@ -40,7 +41,6 @@ from ehsobs.harness import (
     step_closed_loop,
     write_scenario,
 )
-from ehsobs.cells import AstwCellParams
 from ehsobs.observer import FosmoGains, ObserverConfig, StwGains
 from ehsobs.plant import ControlInputs, PlantParams
 
@@ -126,8 +126,8 @@ def test_block_rejects_invalid_fields_when_built(build):
         build()
 
 
-# (block, the valid fields it needs, the rule): every init field of each block
-# is checked, and only P_T may be zero
+# (block, the valid fields it needs, its rule): every init field of each block
+# is checked, and PlantParams.P_T is the one plant field that may be zero
 CHECKED_BLOCKS = ((PlantParams, {}, "must be > 0"),
                   (AstwCellParams, {"epsilon": 1.0}, "must be > 0"),
                   (ControllerGains, {}, "must be >= 0"))
