@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .analysis import (
@@ -108,7 +109,7 @@ def _run_kind(scenario: Scenario, kind: str, seed: int | None, path: Path) -> Me
     runs several kinds holds one trace at a time."""
     trace = run_scenario(scenario, observer_kind=kind, seed=seed)
     trace.write_csv(path)
-    eps = scenario.observer.epsilons() if kind == "astw" else None
+    eps = replace(scenario.observer, kind=kind).epsilons()
     return trace_metrics(trace, window=_default_window(trace), epsilons=eps)
 
 
@@ -141,9 +142,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check_gains(args) -> int:
-    for name in ("l1", "lambda1", "lambda2", "delta1", "delta2", "v0"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{name} must be a finite number, got {value}")
     if args.delta1 < 0.0 or args.delta2 < 0.0:
         raise ConfigError("delta1 and delta2 must be >= 0")
@@ -158,19 +158,9 @@ def _cmd_check_gains(args) -> int:
         raise ConfigError(f"gain numbers out of range ({exc})") from exc
     except ValueError as exc:  # lambda1 or lambda2 <= 0
         raise ConfigError(str(exc)) from exc
-    payload = {
-        "ok": verdict.ok,
-        "margin": verdict.margin,
-        "threshold": verdict.threshold,
-        "P": [list(row) for row in check.P],
-        "Omega": [list(row) for row in check.Omega],
-        "lambda_min_P": check.lambda_min_P,
-        "lambda_max_P": check.lambda_max_P,
-        "lambda_min_Omega": check.lambda_min_Omega,
-        "c1": check.c1,
-        "gamma": check.gamma,
-        "T_r_bound": None if check.gamma <= 0.0 else check.T_r_bound,  # no finite bound
-    }
+    payload = {**verdict._asdict(), **asdict(check)}
+    if check.gamma <= 0.0:  # no finite bound
+        payload["T_r_bound"] = None
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:  # a NaN or infinity, which strict JSON lacks

@@ -20,7 +20,7 @@ import math
 import os
 import types
 import warnings
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .cells import AstwCellParams
@@ -151,7 +151,7 @@ class NoiseStd:
 
 @dataclass(frozen=True)
 class InitialPlantState:
-    """Plant start point (spool centred, piston at rest)."""
+    """Plant start point (spool centred, piston at rest), in PlantState order."""
 
     x1: float = 0.0
     P1: float = 1.0e6
@@ -165,8 +165,7 @@ class InitialPlantState:
             raise ValueError("initial pressures must be >= 0")
 
     def to_state(self) -> PlantState:
-        return PlantState(x1=self.x1, x2=self.P1, x3=self.P2,
-                          x4=self.Ps, x5=self.xc, x6=self.velocity)
+        return PlantState(*astuple(self))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ injection record, built on every sample, are NamedTuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 from .cells import (
@@ -69,7 +69,7 @@ class FosmoGains:
 
 @dataclass(frozen=True)
 class InitialEstimates:
-    """Optional overrides for the observer start point.
+    """Optional overrides for the observer start point, in ObserverState order.
 
     Channels left at None start at the first measurement sample (measured
     channels) or at zero (spool and velocity).
@@ -103,8 +103,9 @@ class ObserverConfig:
             raise ValueError(f"{self.kind} block needs 4 channel entries")
 
     def epsilons(self) -> tuple[float, float, float, float] | None:
-        """Per-channel dead-bands, defined only for the adaptive kind."""
-        if self.astw is None:
+        """Per-channel dead-bands, defined only for the adaptive kind: None for
+        `stw` and `fosmo`, even when an `astw` block is present."""
+        if self.kind != "astw":
             return None
         return tuple(cp.epsilon for cp in self.astw)
 
@@ -142,22 +143,15 @@ class ChannelInjections(NamedTuple):
 def init_observer(cfg: ObserverConfig,
                   y0: tuple[float, float, float, float]) -> ObserverState:
     """Build the observer start state from the first measurement sample."""
-    init = cfg.initial
     if cfg.kind == "astw":
         cells = tuple(AstwCellState(L1=cp.L1_init) for cp in cfg.astw)
     elif cfg.kind == "stw":
         cells = tuple(AstwCellState(L1=g.L1) for g in cfg.stw)
     else:
         cells = tuple(AstwCellState(L1=r) for r in cfg.fosmo.rho)
-    return ObserverState(
-        z1_hat=init.z1 if init.z1 is not None else 0.0,
-        y1_hat=init.y1 if init.y1 is not None else y0[0],
-        y2_hat=init.y2 if init.y2 is not None else y0[1],
-        y3_hat=init.y3 if init.y3 is not None else y0[2],
-        y4_hat=init.y4 if init.y4 is not None else y0[3],
-        z2_hat=init.z2 if init.z2 is not None else 0.0,
-        cells=cells,
-    )
+    start = zip(astuple(cfg.initial), (0.0, *y0, 0.0))
+    return ObserverState(*(x if x is not None else default for x, default in start),
+                         cells=cells)
 
 
 def observer_step(obs: ObserverState, y: tuple[float, float, float, float],

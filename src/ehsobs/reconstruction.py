@@ -102,9 +102,10 @@ def estimate_faults(trace, scenario) -> FaultEstimate:
 
     The filter constant, sample interval and plant come from the scenario,
     so the result equals the trace's online f1_hat, f2_hat and rho4_hat
-    columns bit for bit.  Sliding onset is dwell-tested against the adaptive
-    dead-bands of channels 1, 2 and 4; a scenario without an adaptive block
-    has none, and every valid_from entry is then None.
+    columns bit for bit.  Sliding onset is dwell-tested against the dead-bands
+    of channels 1, 2 and 4, which only an `astw` scenario has; for an `stw` or
+    `fosmo` scenario every valid_from entry is None, as `run` gives their
+    reach times as null.
     """
     import numpy as np
 

@@ -205,6 +205,27 @@ def test_check_gains_prints_strict_json(l1, T_r_bound, capsys):
     assert type(payload["T_r_bound"]) is T_r_bound
 
 
+CHECK_GAINS_KEYS = ["ok", "margin", "threshold", "P", "Omega", "lambda_min_P",
+                    "lambda_max_P", "lambda_min_Omega", "c1", "gamma", "T_r_bound"]
+
+
+@pytest.mark.parametrize("options", [
+    "--l1 2 --lambda1 1 --lambda2 1",
+    "--l1 10 --lambda1 1 --lambda2 1 --v0 1",
+    "--l1 1 --lambda1 1 --lambda2 1 --v0 1",  # gamma < 0
+    "--l1 1e5 --lambda1 3 --lambda2 7 --delta1 0.5 --delta2 2 --v0 4",
+])
+def test_check_gains_payload_layout(options, capsys):
+    assert main(["check-gains", *options.split()]) == 0
+    out = capsys.readouterr().out
+    text = out[:out.index("gain condition:")]
+    payload = json.loads(text)
+    assert list(payload) == CHECK_GAINS_KEYS
+    assert text == json.dumps(payload, indent=2) + "\n"
+    no_bound = payload["gamma"] <= 0.0 or "--v0" not in options
+    assert (payload["T_r_bound"] is None) == no_bound
+
+
 def test_check_gains_rejects_bad_ratio(capsys):
     rc = main(["check-gains", "--l1", "10", "--lambda1", "0", "--lambda2", "1"])
     assert rc == 2
@@ -244,6 +265,24 @@ def test_report_from_trace(tmp_path, capsys):
     assert payload["window"] == [0.2, 1.0]
     assert payload["channels"]["e_y1"]["l1"] >= 0.0
     assert payload["channels"]["e_y1"]["reach_time"] == 0.0
+
+
+def test_report_reach_times_follow_the_scenario_kind(tmp_path, capsys):
+    # only an astw scenario has dead-bands: report gives an stw trace the null
+    # reach times that run writes to metrics.json
+    sc = replace(default_scenario(), duration=1.0, faults=())
+    sc = replace(sc, observer=replace(sc.observer, kind="stw"))
+    write_scenario(sc, tmp_path / "stw.json")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(tmp_path / "stw.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--trace", str(out / "trace.csv"),
+                 "--scenario", str(tmp_path / "stw.json")]) == 0
+    printed = json.loads(capsys.readouterr().out)["channels"]
+    written = json.loads((out / "metrics.json").read_text())["channels"]
+    for name in ("e_y1", "e_y2", "e_y3", "e_y4"):
+        assert written[name]["reach_time"] is None
+        assert printed[name]["reach_time"] is None
 
 
 # case -> (edit of the lines of a valid 51-record trace, text the error contains)

@@ -59,6 +59,22 @@ def test_init_observer_defaults_and_overrides():
     assert obs2.z1_hat == 1e-4 and obs2.y4_hat == 0.05
 
 
+@pytest.mark.parametrize("name", ["z1", "y1", "y2", "y3", "y4", "z2"])
+def test_init_observer_overrides_exactly_one_estimate(name):
+    y0 = (1.0e6, 1.5e6, 3.0e6, 0.12)
+    cfg = replace(nofault_scenario().observer, initial=InitialEstimates(**{name: -7.5}))
+    expected = {"z1": 0.0, "y1": y0[0], "y2": y0[1], "y3": y0[2], "y4": y0[3], "z2": 0.0}
+    expected[name] = -7.5
+    assert init_observer(cfg, y0).estimates() == tuple(expected.values())
+
+
+def test_epsilons_only_for_the_adaptive_kind():
+    cfg = default_scenario().observer  # carries all three parameter blocks
+    assert cfg.epsilons() == tuple(cp.epsilon for cp in cfg.astw)
+    assert replace(cfg, kind="stw").epsilons() is None
+    assert replace(cfg, kind="fosmo").epsilons() is None
+
+
 def test_config_requires_matching_parameter_block():
     with pytest.raises(ValueError):
         ObserverConfig(kind="stw")

@@ -119,6 +119,15 @@ def test_estimate_faults_without_dead_bands(fault_trace, fault_scenario):
     assert not est.valid_mask("rho4").any()
 
 
+@pytest.mark.parametrize("kind", ["stw", "fosmo"])
+def test_estimate_faults_dead_bands_follow_the_kind(kind, fault_trace, fault_scenario):
+    # the astw block is still present, but only an astw scenario has dead-bands;
+    # the same trace read with the astw scenario is valid from t = 0
+    sc = replace(fault_scenario, observer=replace(fault_scenario.observer, kind=kind))
+    est = estimate_faults(fault_trace, sc)
+    assert est.valid_from == {"f1": None, "f2": None, "rho4": None}
+
+
 def test_zero_fault_baseline_estimates_are_zero_mean(nofault_trace):
     t = nofault_trace["t"]
     settled = t >= 5.0
