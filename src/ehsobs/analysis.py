@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-if TYPE_CHECKING:  # numpy is imported by the array functions themselves
-    import numpy as np
+from ._lazy import LazyModule
+
+np = LazyModule("numpy")
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -115,8 +116,6 @@ class Norms(NamedTuple):
 
 
 def _trapz(y: np.ndarray, x: np.ndarray) -> float:
-    import numpy as np
-
     trap = getattr(np, "trapezoid", None) or np.trapz
     return float(trap(y, x))
 
@@ -130,8 +129,6 @@ def norms(t, e, window: tuple[float, float]) -> Norms:
     supremum of |e| restricted to `window`, which cuts off the initial
     transient.
     """
-    import numpy as np
-
     t = np.asarray(t, dtype=float)
     e = np.asarray(e, dtype=float)
     if t.shape != e.shape or t.size < 2:
@@ -146,16 +143,12 @@ def norms(t, e, window: tuple[float, float]) -> Norms:
 
 def rms(e) -> float:
     """Root-mean-square of a sampled series (the conventional quadratic norm)."""
-    import numpy as np
-
     e = np.asarray(e, dtype=float)
     return float(np.sqrt(np.mean(e * e)))
 
 
 def chattering_index(t, e) -> float:
     """Total variation of the trace per second of trace duration."""
-    import numpy as np
-
     t = np.asarray(t, dtype=float)
     e = np.asarray(e, dtype=float)
     if t.size < 2:
@@ -171,8 +164,6 @@ def reach_time(t, sigma, epsilon: float, dwell: int) -> float | None:
     never held long enough.  Each `dwell`-long window is counted as the
     difference of two running totals, so the cost does not grow with `dwell`.
     """
-    import numpy as np
-
     if dwell < 1:
         raise ValueError("dwell must be >= 1")
     t = np.asarray(t, dtype=float)
@@ -219,8 +210,6 @@ class MetricsReport:
 
 def channel_metrics(t, e, *, window: tuple[float, float], dwell: int,
                     epsilon: float | None = None, gains=None) -> ChannelMetrics:
-    import numpy as np
-
     n = norms(t, e, window)
     return ChannelMetrics(
         l1=n.l1,

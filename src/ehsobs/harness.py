@@ -21,8 +21,9 @@ import os
 import types
 import warnings
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
+from ._lazy import LazyModule
 from .cells import AstwCellParams
 from .observer import (
     FosmoGains,
@@ -42,8 +43,8 @@ from .plant import (
 )
 from .reconstruction import lowpass_step
 
-if TYPE_CHECKING:  # numpy is imported by the array functions themselves
-    import numpy as np
+np = LazyModule("numpy")
+hashlib = LazyModule("hashlib")
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,8 +266,6 @@ class SimTrace:
 
     def write_csv(self, path) -> None:
         """Write the CSV at `path`, then the sidecar that lets read_csv skip parsing it."""
-        import numpy as np
-
         from . import textfmt
 
         data = np.asarray(self.data, dtype=np.float64)
@@ -275,8 +274,6 @@ class SimTrace:
 
     @classmethod
     def read_csv(cls, path) -> "SimTrace":
-        import numpy as np
-
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 header = fh.readline().strip()
@@ -299,8 +296,6 @@ class SimTrace:
 
 def _check_rows(path, data: np.ndarray) -> None:
     """The rules a read trace must meet, whether parsed or loaded from its sidecar."""
-    import numpy as np
-
     if data.shape[0] == 0 or data.shape[1] != len(TRACE_COLUMNS):
         raise ConfigError(f"{path}: no rows of {len(TRACE_COLUMNS)} columns")
     if not np.isfinite(data).all():
@@ -333,10 +328,6 @@ def _sidecar_path(path) -> str:
 
 def _write_sidecar(path, data: np.ndarray, csv_digest: bytes) -> None:
     """Cache float64 `data` column by column beside the CSV whose bytes hash to `csv_digest`."""
-    import hashlib  # deferred: the import costs ~4 ms of every start-up
-
-    import numpy as np
-
     digest = hashlib.sha256()
     with open(_sidecar_path(path), "wb") as fh:
         # the array digest goes in last: a write cut short leaves zeros, which never match
@@ -355,8 +346,6 @@ def _write_sidecar(path, data: np.ndarray, csv_digest: bytes) -> None:
 def _file_sha256(path) -> bytes:
     """sha256 of the file at `path`, read in blocks into one buffer, which is
     freed on return, before the caller loads the array."""
-    import hashlib  # deferred: the import costs ~4 ms of every start-up
-
     digest = hashlib.sha256()
     block = bytearray(_CSV_BLOCK)
     view = memoryview(block)
@@ -367,24 +356,25 @@ def _file_sha256(path) -> bytes:
 
 
 def _read_sidecar(path) -> np.ndarray | None:
-    """The column-major array cached beside the CSV at `path`, or None unless both
-    digests hold."""
-    import hashlib  # deferred: the import costs ~4 ms of every start-up
-
-    import numpy as np
-
+    """The column-major array cached beside the CSV at `path`, or None unless its
+    header gives float64 (rows, 41) columns that fill the rest of the file and
+    both digests hold."""
     try:
         with open(_sidecar_path(path), "rb") as fh:
             head = fh.read(72)  # the 8-byte magic and two 32-byte digests
             magic, csv_digest, data_digest = head[:8], head[8:40], head[40:]
-            if magic != SIDECAR_MAGIC:  # a cut digest is short, so it never matches
+            # a cut digest is short, so it never matches
+            if magic != SIDECAR_MAGIC or np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if not (fortran_order and dtype == np.float64 and len(shape) == 2
+                    and shape[1] == len(TRACE_COLUMNS)
+                    and shape[0] * shape[1] * 8 == os.fstat(fh.fileno()).st_size - fh.tell()):
                 return None
             if _file_sha256(path) != csv_digest:
                 return None
-            data = np.lib.format.read_array(fh, allow_pickle=False)
+            data = np.fromfile(fh, dtype=np.float64).reshape(shape, order="F")
     except (OSError, ValueError):  # missing, truncated or not an .npy stream
-        return None
-    if data.dtype != np.float64 or data.ndim != 2 or not data.flags.f_contiguous:
         return None
     if hashlib.sha256(data.T).digest() != data_digest:  # data.T: the columns, in order
         return None
@@ -489,8 +479,6 @@ def run_scenario(scenario: Scenario, observer_kind: str | None = None,
     observer_kind / seed override the scenario fields.  The run is fully
     deterministic: (scenario, seed) fixes every record bit-for-bit.
     """
-    import numpy as np
-
     sc = scenario
     if observer_kind is not None:
         sc = replace(sc, observer=replace(sc.observer, kind=observer_kind))
@@ -658,6 +646,8 @@ def read_scenario(path) -> Scenario:
                           f"column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # undecodable bytes, over-long integer literal
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested deeper than the parser goes
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
     return scenario_from_dict(raw)
 
 

@@ -15,13 +15,12 @@ with a dwell test on the sliding variable (analysis.reach_time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ._lazy import LazyModule
 from .analysis import reach_time
 from .plant import DomainViolation, PlantParams
 
-if TYPE_CHECKING:  # numpy is imported by the array functions themselves
-    import numpy as np
+np = LazyModule("numpy")
 
 
 def lowpass_step(state: float, x: float, dt: float, tau: float) -> float:
@@ -34,8 +33,6 @@ def lowpass(x, dt: float, tau: float) -> np.ndarray:
 
     tau below dt would make the recursion unstable and is rejected.
     """
-    import numpy as np
-
     if not tau >= dt:
         raise ValueError("filter tau must be at least the sample interval")
     x = np.asarray(x, dtype=float)
@@ -55,8 +52,6 @@ def reconstruct_faults(mu_eq_1, mu_eq_2, y4, p: PlantParams):
     or arrays; raises DomainViolation where a chamber volume would be
     non-positive.
     """
-    import numpy as np
-
     mu_eq_1 = np.asarray(mu_eq_1, dtype=float)
     mu_eq_2 = np.asarray(mu_eq_2, dtype=float)
     y4 = np.asarray(y4, dtype=float)
@@ -88,8 +83,6 @@ class FaultEstimate:
     valid_from: dict[str, float | None]
 
     def valid_mask(self, which: str) -> np.ndarray:
-        import numpy as np
-
         onset = self.valid_from[which]
         if onset is None:
             return np.zeros_like(self.t, dtype=bool)
@@ -107,8 +100,6 @@ def estimate_faults(trace, scenario) -> FaultEstimate:
     `fosmo` scenario every valid_from entry is None, as `run` gives their
     reach times as null.
     """
-    import numpy as np
-
     dt, tau = scenario.dt, scenario.reconstruction_tau
     f1_hat, f2_hat = reconstruct_faults(lowpass(trace["mu1"], dt, tau),
                                         lowpass(trace["mu2"], dt, tau),

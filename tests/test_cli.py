@@ -144,6 +144,16 @@ def test_malformed_scenario_exits_2(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["run", "--out", "o"], ["report", "--trace", "none.csv"]])
+def test_deeply_nested_scenario_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    rc = main([*command, "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {path}: invalid JSON: nested too deeply\n"
+
+
 def test_run_negative_seed_option_exits_2(short_scenario_file, tmp_path, capsys):
     rc = main(["run", "--scenario", str(short_scenario_file), "--out",
                str(tmp_path / "o"), "--seed", "-1"])
@@ -283,6 +293,26 @@ def test_report_reach_times_follow_the_scenario_kind(tmp_path, capsys):
     for name in ("e_y1", "e_y2", "e_y3", "e_y4"):
         assert written[name]["reach_time"] is None
         assert printed[name]["reach_time"] is None
+
+
+def test_report_ignores_a_sidecar_header_of_impossible_shape(tmp_path, capsys):
+    # a shape the file cannot hold, written inside the header's padding, so the
+    # CSV digest still holds: the sidecar is dropped before anything is allocated
+    sc = replace(nofault_scenario(), duration=1.0)
+    path = tmp_path / "trace.csv"
+    run_scenario(sc).write_csv(path)
+    sidecar = tmp_path / "trace.csv.f64"
+    head = sidecar.read_bytes()
+    shape, huge = b"(1001, 41)", b"(3000000000000, 41)"
+    edited = head.replace(shape + b", }" + b" " * (len(huge) - len(shape)),
+                          huge + b", }", 1)
+    assert len(edited) == len(head) and edited != head
+    sidecar.write_bytes(edited)
+    assert main(["report", "--trace", str(path)]) == 0
+    with_sidecar = capsys.readouterr().out
+    sidecar.unlink()
+    assert main(["report", "--trace", str(path)]) == 0
+    assert with_sidecar == capsys.readouterr().out
 
 
 # case -> (edit of the lines of a valid 51-record trace, text the error contains)

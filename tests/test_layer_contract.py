@@ -8,39 +8,28 @@ of a 0.05 s default scenario (51 records).
 """
 
 import functools
+import importlib.util
 from collections import Counter, defaultdict
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-import ehsobs.cells
-import ehsobs.cli
-import ehsobs.harness
-import ehsobs.observer
 from ehsobs.cli import main
 from ehsobs.harness import SimTrace, default_scenario, write_scenario
 
-# (module, class or None, attribute)
-LAYERS = (
-    (ehsobs.cli, None, "run_scenario"),
-    (ehsobs.harness, None, "step_closed_loop"),
-    (ehsobs.harness, "Scenario", "fault_inputs"),
-    (ehsobs.harness, None, "pi_controllers"),
-    (ehsobs.harness, None, "observer_step"),
-    (ehsobs.observer, None, "astw_step"),
-    (ehsobs.observer, None, "adapt_gain"),
-    (ehsobs.cells, None, "adapt_gain"),
-    (ehsobs.observer, None, "stw_step"),
-    (ehsobs.observer, None, "fosmo_step"),
-    (ehsobs.harness, None, "lowpass_step"),
-    (ehsobs.harness, None, "leakage_flows"),
-    (ehsobs.harness, None, "advance_plant"),
-    (ehsobs.harness, "SimTrace", "write_csv"),
-    (ehsobs.harness, "SimTrace", "read_csv"),
-    (ehsobs.cli, None, "read_scenario"),
-    (ehsobs.cli, None, "trace_metrics"),
-    (ehsobs.cli, None, "channel_metrics"),
-)
+
+def _tracer_layers() -> tuple:
+    """(module name, class name or None, attribute, ...) per boundary, as the
+    benchmark's tracer lists them, so the two cannot drift apart."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+LAYERS = tuple((module, cls, attr) for module, cls, attr, *_ in _tracer_layers())
 
 N = 51  # records of the 0.05 s scenario
 
@@ -68,9 +57,11 @@ class Calls:
 def calls(monkeypatch):
     calls = Calls()
     for module, cls, attr in LAYERS:
-        owner = module if cls is None else getattr(module, cls)
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
         original = vars(owner)[attr]  # on the owner itself, as a tracer reads it
-        name = module.__name__.removeprefix("ehsobs.") + "." + attr
+        name = module.removeprefix("ehsobs.") + "." + attr
         if isinstance(original, classmethod):
             wrapped = classmethod(calls.wrap(name, original.__func__))
         else:

@@ -1,8 +1,9 @@
 """Start-up without numpy.
 
-The package, the scenario codec and the CLI's non-array paths import numpy
-only inside the functions that build or read arrays.  Each case runs in a
-fresh interpreter, since this process has numpy loaded already.
+The package, the scenario codec and the CLI's non-array paths never import
+numpy: the modules that use it bind it lazily and load it at their first
+array operation.  Each case runs in a fresh interpreter, since this process
+has numpy loaded already.
 """
 
 import os
@@ -10,6 +11,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
+
+import numpy as np
+
+from ehsobs.harness import SimTrace
+from ehsobs.reconstruction import FaultEstimate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,7 +30,7 @@ def run_fresh(code: str, cwd: Path) -> str:
 
 
 NON_ARRAY_PATHS = f"""
-import contextlib, io, sys
+import contextlib, io, sys, typing
 from pathlib import Path
 
 import ehsobs
@@ -33,6 +40,7 @@ for path in sorted(Path({str(ROOT / "scenarios")!r}).glob("*.json")):
     sc = ehsobs.read_scenario(path)
     ehsobs.write_scenario(sc, "copy.json")
     assert ehsobs.read_scenario("copy.json") == sc, path
+typing.get_type_hints(ehsobs.Scenario)
 
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
@@ -52,6 +60,11 @@ print("ok")
 def test_non_array_paths_never_import_numpy(tmp_path):
     (tmp_path / "bad.json").write_text('{"observer": {"kind": "astw", "lambda2": 1}}')
     assert run_fresh(NON_ARRAY_PATHS, tmp_path) == "ok\n"
+
+
+def test_array_annotations_resolve():
+    assert get_type_hints(SimTrace)["data"] is np.ndarray
+    assert get_type_hints(FaultEstimate)["t"] is np.ndarray
 
 
 def readme_library_example() -> str:
