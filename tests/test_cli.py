@@ -295,26 +295,6 @@ def test_report_reach_times_follow_the_scenario_kind(tmp_path, capsys):
         assert printed[name]["reach_time"] is None
 
 
-def test_report_ignores_a_sidecar_header_of_impossible_shape(tmp_path, capsys):
-    # a shape the file cannot hold, written inside the header's padding, so the
-    # CSV digest still holds: the sidecar is dropped before anything is allocated
-    sc = replace(nofault_scenario(), duration=1.0)
-    path = tmp_path / "trace.csv"
-    run_scenario(sc).write_csv(path)
-    sidecar = tmp_path / "trace.csv.f64"
-    head = sidecar.read_bytes()
-    shape, huge = b"(1001, 41)", b"(3000000000000, 41)"
-    edited = head.replace(shape + b", }" + b" " * (len(huge) - len(shape)),
-                          huge + b", }", 1)
-    assert len(edited) == len(head) and edited != head
-    sidecar.write_bytes(edited)
-    assert main(["report", "--trace", str(path)]) == 0
-    with_sidecar = capsys.readouterr().out
-    sidecar.unlink()
-    assert main(["report", "--trace", str(path)]) == 0
-    assert with_sidecar == capsys.readouterr().out
-
-
 # case -> (edit of the lines of a valid 51-record trace, text the error contains)
 MALFORMED_TRACES = {
     "ragged-row": (lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]],

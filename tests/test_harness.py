@@ -461,6 +461,15 @@ def _c_order_sidecar(head: bytes) -> bytes:
     return head + hashlib.sha256(data).digest() + npy.getvalue()
 
 
+def _shape_beyond_file(path, sidecar: bytes) -> bytes:
+    """A row count the file cannot hold, written into the npy header's padding,
+    so the CSV digest still holds; reading it as given would ask for 895 TiB."""
+    shape, huge = b"(3, 41), }", b"(3000000000000, 41), }"
+    edited = sidecar.replace(shape + b" " * (len(huge) - len(shape)), huge, 1)
+    assert len(edited) == len(sidecar) and edited != sidecar
+    return edited
+
+
 # Each maps (CSV path, sidecar bytes) to the sidecar's new bytes, or None to delete it.
 SIDECAR_FAULTS = {
     "missing": lambda path, sidecar: None,
@@ -475,6 +484,7 @@ SIDECAR_FAULTS = {
     "float32-array": _float32_sidecar,
     "version-1-sidecar": lambda path, sidecar: _c_order_sidecar(b"EHSOBS\x00\x01" + sidecar[8:40]),
     "row-major-array": lambda path, sidecar: _c_order_sidecar(sidecar[:40]),  # version 2
+    "shape-beyond-file": _shape_beyond_file,
 }
 
 
