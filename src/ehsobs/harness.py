@@ -82,7 +82,7 @@ class ControllerGains:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0.0:
+            if not getattr(self, f.name) >= 0.0:
                 raise ValueError(f"ControllerGains.{f.name} must be >= 0")
 
 
@@ -129,7 +129,7 @@ class FaultWindow:
             raise ValueError(f"window [{self.t_start}, {self.t_end}) "
                              "needs 0 <= t_start < t_end")
         for name in ("C_i", "C_e1", "C_e2"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} is a leakage coefficient and must be >= 0")
 
 
@@ -146,7 +146,7 @@ class NoiseStd:
         return (self.P1, self.P2, self.Ps, self.xc)
 
     def __post_init__(self) -> None:
-        if any(v < 0.0 for v in self.as_tuple()):
+        if not all(v >= 0.0 for v in self.as_tuple()):
             raise ValueError("noise standard deviations must be >= 0")
 
 
@@ -162,7 +162,7 @@ class InitialPlantState:
     velocity: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.P1, self.P2, self.Ps) < 0.0:
+        if not all(v >= 0.0 for v in (self.P1, self.P2, self.Ps)):
             raise ValueError("initial pressures must be >= 0")
 
     def to_state(self) -> PlantState:
@@ -192,9 +192,9 @@ class Scenario:
     reconstruction_tau: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ConfigError("dt must be > 0")
-        if self.duration < self.dt:
+        if not self.duration >= self.dt:
             raise ConfigError("duration must be >= dt")
         if not math.isfinite(self.duration / self.dt):
             raise ConfigError("duration / dt gives no finite record count")
@@ -209,7 +209,7 @@ class Scenario:
             if fw.t_end > self.duration:
                 raise ConfigError(f"faults[{i}]: window [{fw.t_start}, {fw.t_end}) "
                                   f"ends after the run [0, {self.duration}]")
-        if self.reconstruction_tau < self.dt:
+        if not self.reconstruction_tau >= self.dt:
             raise ConfigError("reconstruction_tau must be >= dt")
         if not 0.0 <= self.initial_state.xc <= self.plant.stroke:
             raise ConfigError("initial position must lie within the stroke")
@@ -312,13 +312,14 @@ def _check_rows(path, data: np.ndarray) -> None:
 # --- trace sidecar -----------------------------------------------------------
 # `<trace>.csv.f64` caches the parsed trace beside its CSV, as a hash-checked
 # .pyc caches a module: the magic, the sha256 of the CSV bytes, the sha256 of
-# the array bytes, then the float64 array as a column-major .npy stream, so
-# every column a report reads is contiguous.  The CSV stays authoritative; the
-# sidecar is used only while both digests hold, so a CSV edited, replaced or
-# truncated after the write is parsed again, and so is a sidecar of another
-# version.
+# the array bytes, then the float64 columns in order, so every column a report
+# reads is contiguous.  The file size gives the row count.  The CSV stays
+# authoritative; the sidecar is used only while both digests hold, so a CSV
+# edited, replaced or truncated after the write is parsed again, and so is a
+# sidecar of another version.
 
-SIDECAR_MAGIC = b"EHSOBS\x00\x02"  # format name and version
+SIDECAR_MAGIC = b"EHSOBS\x00\x03"  # format name and version
+_SIDECAR_HEAD = len(SIDECAR_MAGIC) + 2 * 32  # and the two sha256 digests
 _CSV_BLOCK = 1 << 20  # the CSV is hashed in blocks, never held whole
 
 
@@ -332,14 +333,11 @@ def _write_sidecar(path, data: np.ndarray, csv_digest: bytes) -> None:
     with open(_sidecar_path(path), "wb") as fh:
         # the array digest goes in last: a write cut short leaves zeros, which never match
         fh.write(SIDECAR_MAGIC + csv_digest + bytes(32))
-        np.lib.format.write_array_header_1_0(fh, {
-            "descr": np.lib.format.dtype_to_descr(data.dtype),
-            "fortran_order": True, "shape": data.shape})
         for column in data.T:  # one column copied at a time, never the whole array
             column = np.ascontiguousarray(column)
             digest.update(column)
             fh.write(column)
-        fh.seek(len(SIDECAR_MAGIC) + len(csv_digest))
+        fh.seek(_SIDECAR_HEAD - 32)
         fh.write(digest.digest())
 
 
@@ -356,29 +354,23 @@ def _file_sha256(path) -> bytes:
 
 
 def _read_sidecar(path) -> np.ndarray | None:
-    """The column-major array cached beside the CSV at `path`, or None unless its
-    header gives float64 (rows, 41) columns that fill the rest of the file and
-    both digests hold."""
+    """The array cached beside the CSV at `path`, or None unless the file is the
+    head and whole rows of 41 columns, and both digests hold."""
+    n_cols = len(TRACE_COLUMNS)
     try:
         with open(_sidecar_path(path), "rb") as fh:
-            head = fh.read(72)  # the 8-byte magic and two 32-byte digests
-            magic, csv_digest, data_digest = head[:8], head[8:40], head[40:]
-            # a cut digest is short, so it never matches
-            if magic != SIDECAR_MAGIC or np.lib.format.read_magic(fh) != (1, 0):
+            head = fh.read(_SIDECAR_HEAD)  # the magic, the CSV digest, the array digest
+            rows, rest = divmod(os.fstat(fh.fileno()).st_size - _SIDECAR_HEAD, n_cols * 8)
+            # a file shorter than the head leaves a rest; the CSV is hashed only behind this magic
+            if (rest or not head.startswith(SIDECAR_MAGIC)
+                    or head[:-32] != SIDECAR_MAGIC + _file_sha256(path)):
                 return None
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            if not (fortran_order and dtype == np.float64 and len(shape) == 2
-                    and shape[1] == len(TRACE_COLUMNS)
-                    and shape[0] * shape[1] * 8 == os.fstat(fh.fileno()).st_size - fh.tell()):
-                return None
-            if _file_sha256(path) != csv_digest:
-                return None
-            data = np.fromfile(fh, dtype=np.float64).reshape(shape, order="F")
-    except (OSError, ValueError):  # missing, truncated or not an .npy stream
+            columns = np.fromfile(fh, dtype=np.float64).reshape(n_cols, rows)
+    except (OSError, ValueError):  # missing, or changed while read
         return None
-    if hashlib.sha256(data.T).digest() != data_digest:  # data.T: the columns, in order
+    if hashlib.sha256(columns).digest() != head[-32:]:
         return None
-    return data
+    return columns.T
 
 
 def pi_controllers(y: tuple[float, float, float, float],
@@ -635,10 +627,22 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return _encode(sc)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are distinct; json.load would keep a repeated key's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key '{key}'")
+        obj[key] = value
+    return obj
+
+
 def read_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_JsonConstant)
+            raw = json.load(fh, parse_constant=_JsonConstant, object_pairs_hook=_unique_keys)
+    except ConfigError:  # a ValueError too; pass it through unwrapped
+        raise
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -47,7 +47,7 @@ class StwGains:
     L2: float
 
     def __post_init__(self) -> None:
-        if self.L1 <= 0.0 or self.L2 <= 0.0:
+        if not (self.L1 > 0.0 and self.L2 > 0.0):
             raise ValueError("StwGains must be > 0")
 
 
@@ -63,7 +63,7 @@ class FosmoGains:
     rho4_vel: float
 
     def __post_init__(self) -> None:
-        if any(r <= 0.0 for r in self.rho) or self.rho4_vel <= 0.0:
+        if not all(r > 0.0 for r in (*self.rho, self.rho4_vel)):
             raise ValueError("FosmoGains must be > 0")
 
 

@@ -67,7 +67,7 @@ class PlantParams:
         for f in fields(self):
             if f.init and f.name != "P_T" and not getattr(self, f.name) > 0.0:
                 raise ValueError(f"PlantParams.{f.name} must be > 0")
-        if self.P_T < 0.0:
+        if not self.P_T >= 0.0:
             raise ValueError("PlantParams.P_T must be >= 0")
         # after the checks: sqrt(2/rho) needs rho > 0
         object.__setattr__(self, "kq", self.C_d * self.w * math.sqrt(2.0 / self.rho))

@@ -174,11 +174,10 @@ def _format_block(v, tables, field_t, field) -> np.ndarray:
 
 
 def write_csv(path, data, header: str) -> bytes:
-    """Write `header` and the rows of the 2-D array `data` as '%.17g' CSV.
+    """Write `header` and the rows of the 2-D float64 array `data` as '%.17g' CSV.
 
     Returns the sha256 digest of the bytes written.
     """
-    data = np.asarray(data, dtype=np.float64)
     tables = _tables()
     n_rows, n_cols = data.shape
     field_t = np.empty((_FIELD, BLOCK_ROWS * n_cols), dtype=np.uint8)

@@ -129,6 +129,8 @@ MALFORMED = {
                                      if k != "observer"})),
     "astw-leftover-lambda2": ("unknown key 'observer.astw[0].lambda2'\n",
                               json.dumps(_with(("observer", "astw", 0, "lambda2"), 1.0))),
+    "duplicate-key": ("duplicate key 'duration'\n",
+                      json.dumps(_short_dict())[:-1] + ', "duration": 1.0}'),
 }
 
 

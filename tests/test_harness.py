@@ -119,8 +119,19 @@ def test_record_count_ceiling():
     lambda: FaultWindow(1.0, 0.0),
     lambda: FaultWindow(0.0, 1.0, C_e1=-1.0),
     lambda: InitialPlantState(P1=-1.0),
+    # NaN fails every comparison, so each rule is written to fail on it too
+    lambda: ControllerGains(kp_pos=math.nan),
+    lambda: NoiseStd(P1=math.nan),
+    lambda: StwGains(math.nan, 1.0),
+    lambda: FosmoGains(rho=(1.0, 1.0, 1.0, 1.0), rho4_vel=math.nan),
+    lambda: FaultWindow(0.0, 1.0, C_i=math.nan),
+    lambda: InitialPlantState(P1=math.nan),
+    lambda: PlantParams(P_T=math.nan),
+    lambda: replace(default_scenario(), reconstruction_tau=math.nan),
 ], ids=["controller", "noise", "stw", "fosmo", "observer-block", "fault-order",
-        "fault-leak", "initial-pressure"])
+        "fault-leak", "initial-pressure", "controller-nan", "noise-nan", "stw-nan",
+        "fosmo-nan", "fault-leak-nan", "initial-pressure-nan", "plant-tank-nan",
+        "reconstruction-tau-nan"])
 def test_block_rejects_invalid_fields_when_built(build):
     with pytest.raises(ValueError):
         build()
@@ -138,8 +149,9 @@ CHECKED_BLOCKS = ((PlantParams, {}, "must be > 0"),
                  id=f"{block.__name__}.{f.name}")
     for block, needs, rule in CHECKED_BLOCKS for f in fields(block) if f.init])
 def test_each_checked_field_is_named_when_bad(block, needs, rule, name):
-    with pytest.raises(ValueError, match=rf"^{block.__name__}\.{name} {rule}$"):
-        block(**{**needs, name: -1.0})
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^{block.__name__}\.{name} {rule}$"):
+            block(**{**needs, name: bad})
 
 
 def test_fault_inputs_step_quantized():
@@ -438,36 +450,17 @@ def _csv_rewritten(path, sidecar: bytes) -> bytes:
     return sidecar
 
 
-def _object_array_sidecar(path, sidecar: bytes) -> bytes:
-    npy = io.BytesIO()
-    np.lib.format.write_array(npy, np.array([1.0, "x"], dtype=object), allow_pickle=True)
-    assert sidecar[8:40] == hashlib.sha256(path.read_bytes()).digest()
-    return sidecar[:72] + npy.getvalue()  # the CSV digest holds
-
-
-def _float32_sidecar(path, sidecar: bytes) -> bytes:
-    data = _short_data().astype(np.float32)
-    npy = io.BytesIO()
-    np.lib.format.write_array(npy, data)
-    return sidecar[:40] + hashlib.sha256(data).digest() + npy.getvalue()  # both digests hold
-
-
-def _c_order_sidecar(head: bytes) -> bytes:
-    """`head` (a magic and the CSV digest), then the CSV's array in C order, as
-    version 1 stored it, behind its valid digest."""
+def _npy_sidecar(version: int, sidecar: bytes) -> bytes:
+    """A valid sidecar of an earlier version, behind its magic and both digests:
+    the CSV's array as an .npy stream, row-major in version 1 and column-major
+    in version 2."""
     data = _short_data()
+    if version == 2:
+        data = np.asfortranarray(data)
     npy = io.BytesIO()
     np.lib.format.write_array(npy, data)
-    return head + hashlib.sha256(data).digest() + npy.getvalue()
-
-
-def _shape_beyond_file(path, sidecar: bytes) -> bytes:
-    """A row count the file cannot hold, written into the npy header's padding,
-    so the CSV digest still holds; reading it as given would ask for 895 TiB."""
-    shape, huge = b"(3, 41), }", b"(3000000000000, 41), }"
-    edited = sidecar.replace(shape + b" " * (len(huge) - len(shape)), huge, 1)
-    assert len(edited) == len(sidecar) and edited != sidecar
-    return edited
+    return (b"EHSOBS\x00" + bytes([version]) + sidecar[8:40]
+            + hashlib.sha256(data.tobytes(order="A")).digest() + npy.getvalue())
 
 
 # Each maps (CSV path, sidecar bytes) to the sidecar's new bytes, or None to delete it.
@@ -475,16 +468,13 @@ SIDECAR_FAULTS = {
     "missing": lambda path, sidecar: None,
     "cut-in-magic": lambda path, sidecar: sidecar[:4],
     "cut-in-digests": lambda path, sidecar: sidecar[:40],
-    "cut-in-npy-header": lambda path, sidecar: sidecar[:90],
     "cut-in-data": lambda path, sidecar: sidecar[:-8],
+    "cut-by-a-row": lambda path, sidecar: sidecar[:-41 * 8],  # whole rows, a stale digest
     "data-byte-flipped": lambda path, sidecar: sidecar[:-1] + bytes([sidecar[-1] ^ 1]),
     "from-another-trace": _sidecar_of_another_trace,
     "csv-rewritten": _csv_rewritten,
-    "object-array": _object_array_sidecar,
-    "float32-array": _float32_sidecar,
-    "version-1-sidecar": lambda path, sidecar: _c_order_sidecar(b"EHSOBS\x00\x01" + sidecar[8:40]),
-    "row-major-array": lambda path, sidecar: _c_order_sidecar(sidecar[:40]),  # version 2
-    "shape-beyond-file": _shape_beyond_file,
+    "version-1-sidecar": lambda path, sidecar: _npy_sidecar(1, sidecar),
+    "version-2-sidecar": lambda path, sidecar: _npy_sidecar(2, sidecar),
 }
 
 
