@@ -14,7 +14,7 @@ Eigenvalues of the 2x2 symmetric matrices are computed in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import LazyModule
@@ -31,12 +31,13 @@ def eig_bounds_sym2(a11: float, a12: float, a22: float) -> tuple[float, float]:
     return mean - radius, mean + radius
 
 
-def reach_time_bound(V0: float, gamma: float) -> float:
-    """Finite reaching-time bound 2*sqrt(V0)/gamma from the decay inequality."""
+def reach_time_bound(V0: float, gamma: float) -> float | None:
+    """Finite reaching-time bound 2*sqrt(V0)/gamma from the decay inequality,
+    or None when gamma <= 0 gives no finite bound."""
     if V0 < 0.0:
         raise ValueError("V0 must be >= 0")
     if gamma <= 0.0:
-        return math.inf
+        return None
     return 2.0 * math.sqrt(V0) / gamma
 
 
@@ -115,26 +116,21 @@ class Norms(NamedTuple):
     linf: float
 
 
-def _trapz(y: np.ndarray, x: np.ndarray) -> float:
-    trap = getattr(np, "trapezoid", None) or np.trapz
-    return float(trap(y, x))
-
-
 def norms(t, e, window: tuple[float, float]) -> Norms:
     """Integral error norms over a uniformly sampled trace.
 
-    l1 integrates |e| over the whole trace (trapezoidal rule) and l2 is its
-    square root - that is the convention the comparison tables use, not an
-    energy norm; see `rms` for the usual quadratic figure.  linf is the
-    supremum of |e| restricted to `window`, which cuts off the initial
-    transient.
+    l1 integrates |e| over the whole trace (trapezoidal rule, summed as
+    np.trapezoid sums it) and l2 is its square root - that is the convention
+    the comparison tables use, not an energy norm; see `rms` for the usual
+    quadratic figure.  linf is the supremum of |e| restricted to `window`,
+    which cuts off the initial transient.
     """
     t = np.asarray(t, dtype=float)
     e = np.asarray(e, dtype=float)
     if t.shape != e.shape or t.size < 2:
         raise ValueError("t and e must be equal-length series with >= 2 samples")
     abs_e = np.abs(e)
-    l1 = _trapz(abs_e, t)
+    l1 = float((np.diff(t) * (abs_e[1:] + abs_e[:-1]) / 2.0).sum())
     mask = (t >= window[0]) & (t <= window[1])
     if not np.any(mask):
         raise EmptyWindow(f"window {window} selects no samples")
@@ -190,22 +186,14 @@ class ChannelMetrics:
     reach_time: float | None = None
     gain_peak: float | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-channel metrics over one run, keyed by error-channel name."""
+    """Per-channel metrics over one run, keyed by error-channel name; `asdict`
+    gives the metrics.json layout, so the field order is the key order."""
 
-    channels: dict[str, ChannelMetrics]
     window: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "channels": {k: v.to_dict() for k, v in self.channels.items()},
-        }
+    channels: dict[str, ChannelMetrics]
 
 
 def channel_metrics(t, e, *, window: tuple[float, float], dwell: int,

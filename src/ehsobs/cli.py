@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = _run_kind(scenario, kind, args.seed, out / "trace.csv")
-    _write_json(report.to_dict(), out / "metrics.json")
+    _write_json(asdict(report), out / "metrics.json")
     print(f"wrote {out / 'trace.csv'} ({scenario.n_records()} records) "
           f"and {out / 'metrics.json'}")
     return EXIT_OK
@@ -134,7 +134,7 @@ def _cmd_compare(args) -> int:
     reports = {kind: _run_kind(scenario, kind, args.seed, out / f"trace_{kind}.csv")
                for kind in OBSERVER_KINDS}
     table = comparison_table(reports)
-    _write_json({k: r.to_dict() for k, r in reports.items()}, out / "report.json")
+    _write_json({k: asdict(r) for k, r in reports.items()}, out / "report.json")
     (out / "report.txt").write_text(table, encoding="utf-8")
     print(table)
     print(f"wrote traces and reports to {out}")
@@ -147,8 +147,6 @@ def _cmd_check_gains(args) -> int:
             raise ConfigError(f"--{name} must be a finite number, got {value}")
     if args.delta1 < 0.0 or args.delta2 < 0.0:
         raise ConfigError("delta1 and delta2 must be >= 0")
-    if args.v0 is not None and args.v0 < 0.0:
-        raise ConfigError("v0 must be >= 0")
     try:
         verdict = check_gain_condition(args.l1, args.lambda1, args.lambda2,
                                        args.delta1, args.delta2)
@@ -156,11 +154,9 @@ def _cmd_check_gains(args) -> int:
                                   args.delta1, args.delta2, V0=args.v0)
     except ArithmeticError as exc:  # finite inputs whose powers or ratios overflow
         raise ConfigError(f"gain numbers out of range ({exc})") from exc
-    except ValueError as exc:  # lambda1 or lambda2 <= 0
+    except ValueError as exc:  # lambda1 or lambda2 <= 0, or V0 < 0
         raise ConfigError(str(exc)) from exc
     payload = {**verdict._asdict(), **asdict(check)}
-    if check.gamma <= 0.0:  # no finite bound
-        payload["T_r_bound"] = None
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:  # a NaN or infinity, which strict JSON lacks
@@ -190,7 +186,7 @@ def _cmd_report(args) -> int:
         report = trace_metrics(trace, window=window, epsilons=eps, dwell=args.dwell)
     except EmptyWindow as exc:
         raise ConfigError(f"{args.trace}: {exc}") from exc
-    text = json.dumps(report.to_dict(), indent=2)
+    text = json.dumps(asdict(report), indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {args.out}")

@@ -142,11 +142,8 @@ class NoiseStd:
     Ps: float = 0.0   # [Pa]
     xc: float = 0.0   # [m]
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.P1, self.P2, self.Ps, self.xc)
-
     def __post_init__(self) -> None:
-        if not all(v >= 0.0 for v in self.as_tuple()):
+        if not all(v >= 0.0 for v in astuple(self)):
             raise ValueError("noise standard deviations must be >= 0")
 
 
@@ -478,7 +475,7 @@ def run_scenario(scenario: Scenario, observer_kind: str | None = None,
         sc = replace(sc, seed=seed)
 
     n = sc.n_records()
-    std = np.array(sc.noise_std.as_tuple())
+    std = np.array(astuple(sc.noise_std))
     if std.any():
         noise = _noise_rows(np.random.default_rng(sc.seed), std, n)
     else:  # noise-free: no generator, no draw; x + 0.0 == x for every reading
@@ -513,14 +510,20 @@ def _noise_rows(rng: np.random.Generator, std: np.ndarray, n: int):
 # type annotations, so a field added to a dataclass is read and written
 # without further edits here.
 
-class _JsonConstant:
-    """A NaN/Infinity token, which strict JSON lacks; no field type takes it."""
+class _JsonObject(dict):
+    """A parsed JSON object that keeps a repeated key's last value, as json.load
+    does, and names the first such key for `_decode` to reject with its path."""
 
-    def __init__(self, token: str):
-        self.token = token
+    repeated: str | None = None
 
-    def __repr__(self) -> str:
-        return self.token
+    @classmethod
+    def from_pairs(cls, pairs: list[tuple[str, object]]) -> _JsonObject:
+        obj = cls()
+        for key, value in pairs:
+            if key in obj and obj.repeated is None:
+                obj.repeated = key
+            obj[key] = value
+        return obj
 
 
 _LEAVES = {float: ((int, float), "a finite number"),
@@ -553,7 +556,9 @@ def _decode(tp, value, path: str):
 
     Handles dataclasses, `X | None`, fixed-length tuple[X, X, ...],
     tuple[X, ...], float, int and str.  A bool is never a number, an int
-    field takes only an integer and a float field any finite number.
+    field takes only an integer and a float field any finite number, so the
+    NaN and Infinity tokens json.load accepts fail here.  An object with a
+    repeated key fails at the key's path.
     """
     def fail(expected: str):
         raise ConfigError(f"{path}: expected {expected}, got {_describe(value)}")
@@ -569,6 +574,9 @@ def _decode(tp, value, path: str):
             fail("an object")
         types_, required = _schema(tp)
         prefix = f"{path}." if path else ""
+        repeated = getattr(value, "repeated", None)
+        if repeated is not None:
+            raise ConfigError(f"duplicate key '{prefix}{repeated}'")
         for key in value:
             if key not in types_:
                 raise ConfigError(f"unknown key '{prefix}{key}'")
@@ -627,22 +635,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return _encode(sc)
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object whose keys are distinct; json.load would keep a repeated key's last value."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigError(f"duplicate key '{key}'")
-        obj[key] = value
-    return obj
-
-
 def read_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_JsonConstant, object_pairs_hook=_unique_keys)
-    except ConfigError:  # a ValueError too; pass it through unwrapped
-        raise
+            raw = json.load(fh, object_pairs_hook=_JsonObject.from_pairs)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:

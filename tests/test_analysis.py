@@ -44,7 +44,7 @@ def test_decay_matrix_and_its_smallest_eigenvalue():
 def test_reach_time_bound_formula():
     assert reach_time_bound(4.0, 2.0) == 2.0
     assert reach_time_bound(0.0, 2.0) == 0.0
-    assert math.isinf(reach_time_bound(4.0, 0.0))
+    assert reach_time_bound(4.0, 0.0) is None
 
 
 def test_lyapunov_gamma_folds_in_adaptation_rates():
@@ -96,6 +96,15 @@ def test_norms_constant_trace():
     assert n.l1 == pytest.approx(3.0, rel=1e-12)
     assert n.l2 == pytest.approx(math.sqrt(3.0), rel=1e-12)
     assert n.linf == pytest.approx(0.1)
+
+
+def test_norms_l1_is_numpys_trapezoid():
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 has only trapz
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 1000, 30001):
+        t = np.cumsum(rng.uniform(0.5, 1.5, size=n)) * 1e-3
+        e = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
+        assert norms(t, e, window=(t[0], t[-1])).l1 == trapezoid(np.abs(e), t)
 
 
 def test_norms_window_restricts_sup():

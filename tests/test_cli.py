@@ -1,10 +1,11 @@
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from ehsobs.analysis import ChannelMetrics
 from ehsobs.cli import main, trace_metrics
 from ehsobs.harness import (
     SimTrace,
@@ -31,7 +32,10 @@ def test_run_writes_trace_and_metrics(short_scenario_file, tmp_path, capsys):
     assert rc == 0
     assert (out / "trace.csv").exists()
     payload = json.loads((out / "metrics.json").read_text())
+    assert list(payload) == ["window", "channels"] and len(payload["window"]) == 2
     assert set(payload["channels"]) == {"e_y1", "e_y2", "e_y3", "e_y4", "e_z1", "e_z2"}
+    for channel in payload["channels"].values():
+        assert list(channel) == [f.name for f in fields(ChannelMetrics)]
     assert "wrote" in capsys.readouterr().out
 
 
@@ -88,12 +92,17 @@ def _with(path: tuple, value) -> dict:
     return d
 
 
-# case -> (start of the one-line error, naming the dotted path; file text)
+# case -> (start of the one-line error, naming the dotted path, with {path} the
+# file's own; file text or bytes)
 MALFORMED = {
     "dt-string": ("dt", json.dumps(_with(("dt",), "abc"))),
     "dt-nan": ("dt", json.dumps(_with(("dt",), float("nan")))),
     "duration-infinity": ("duration", json.dumps(_with(("duration",), float("inf")))),
+    "duration-literal-overflow": ("duration: expected a finite number, got inf\n",
+                                  json.dumps(_short_dict()).replace('"duration": 0.05',
+                                                                    '"duration": 1e400', 1)),
     "substeps-float": ("substeps", json.dumps(_with(("substeps",), 2.5))),
+    "substeps-zero": ("substeps must be >= 1\n", json.dumps(_with(("substeps",), 0))),
     "seed-negative": ("seed", json.dumps(_with(("seed",), -1))),
     "seed-string": ("seed", json.dumps(_with(("seed",), "x"))),
     "faults-number": ("faults", json.dumps(_with(("faults",), 5))),
@@ -131,6 +140,11 @@ MALFORMED = {
                               json.dumps(_with(("observer", "astw", 0, "lambda2"), 1.0))),
     "duplicate-key": ("duplicate key 'duration'\n",
                       json.dumps(_short_dict())[:-1] + ', "duration": 1.0}'),
+    "duplicate-key-nested": ("duplicate key 'observer.stw[0].L1'\n",
+                             json.dumps(_with(("observer", "stw", 0), {"L1": 1.0, "L2": 1.0}))
+                             .replace('"L2": 1.0}', '"L2": 1.0, "L1": 2.0}', 1)),
+    "undecodable-bytes": ("{path}: invalid JSON: 'utf-8' codec can't decode byte 0xff",
+                          b'{"duration": \xff}'),
 }
 
 
@@ -138,11 +152,11 @@ MALFORMED = {
 def test_malformed_scenario_exits_2(case, tmp_path, capsys):
     where, text = MALFORMED[case]
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith(f"error: {where}") and err.count("\n") == 1
+    assert err.startswith(f"error: {where.format(path=path)}") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -245,7 +259,7 @@ def test_check_gains_rejects_bad_ratio(capsys):
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--v0", "-1"], "v0 must be >= 0"),
+    (["--v0", "-1"], "V0 must be >= 0"),
     (["--lambda1", "nan"], "--lambda1 must be a finite number, got nan"),
     (["--l1", "inf", "--v0", "1"], "--l1 must be a finite number, got inf"),
     (["--delta2=-inf"], "--delta2 must be a finite number, got -inf"),
@@ -254,6 +268,7 @@ def test_check_gains_rejects_bad_ratio(capsys):
     (["--l1", "1e300", "--lambda1", "1e-300", "--lambda2", "1e-300", "--v0", "1"],
      "gain numbers out of range"),
     (["--l1", "1e308", "--lambda1", "1e150"], "gain numbers out of range"),
+    (["--delta1", "-1"], "delta1 and delta2 must be >= 0"),
 ])
 def test_check_gains_rejects_bad_numbers(extra, message, capsys):
     # later occurrences of an option override the valid defaults here
@@ -270,13 +285,17 @@ def test_report_from_trace(tmp_path, capsys):
     trace.write_csv(path)
     sc_path = tmp_path / "sc.json"
     write_scenario(sc, sc_path)
-    rc = main(["report", "--trace", str(path), "--window", "0.2:1.0",
-               "--scenario", str(sc_path)])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    options = ["report", "--trace", str(path), "--window", "0.2:1.0", "--scenario", str(sc_path)]
+    assert main(options) == 0
+    printed = capsys.readouterr().out
+    payload = json.loads(printed)
     assert payload["window"] == [0.2, 1.0]
     assert payload["channels"]["e_y1"]["l1"] >= 0.0
     assert payload["channels"]["e_y1"]["reach_time"] == 0.0
+    out = tmp_path / "report.json"
+    assert main([*options, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == printed
 
 
 def test_report_reach_times_follow_the_scenario_kind(tmp_path, capsys):

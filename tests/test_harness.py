@@ -5,7 +5,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -528,7 +528,7 @@ def test_determinism_bit_identical():
 
 @pytest.mark.parametrize("n", [1, NOISE_BLOCK, NOISE_BLOCK + 1, 3 * NOISE_BLOCK - 5])
 def test_noise_blocks_equal_one_draw(n):
-    std = np.array(noisy_scenario().noise_std.as_tuple())
+    std = np.array(astuple(noisy_scenario().noise_std))
     whole = (np.random.default_rng(3).normal(size=(n, 4)) * std).tolist()
     assert list(_noise_rows(np.random.default_rng(3), std, n)) == whole
 
