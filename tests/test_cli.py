@@ -285,13 +285,17 @@ def test_report_from_trace(tmp_path, capsys):
     trace.write_csv(path)
     sc_path = tmp_path / "sc.json"
     write_scenario(sc, sc_path)
-    options = ["report", "--trace", str(path), "--window", "0.2:1.0", "--scenario", str(sc_path)]
-    assert main(options) == 0
-    printed = capsys.readouterr().out
-    payload = json.loads(printed)
+    rc = main(["report", "--trace", str(path), "--window", "0.2:1.0",
+               "--scenario", str(sc_path)])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["window"] == [0.2, 1.0]
     assert payload["channels"]["e_y1"]["l1"] >= 0.0
     assert payload["channels"]["e_y1"]["reach_time"] == 0.0
+    # --out writes what stdout gets, and says where
+    options = ["report", "--trace", str(path), "--scenario", str(sc_path)]
+    assert main(options) == 0
+    printed = capsys.readouterr().out
     out = tmp_path / "report.json"
     assert main([*options, "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote {out}\n"
