@@ -198,6 +198,11 @@ class Scenario:
         if self.n_records() > MAX_RECORDS:
             raise ConfigError(f"duration / dt gives {self.n_records():.9g} records, "
                               f"more than the {MAX_RECORDS} a run may hold")
+        t_last = (self.n_records() - 1) * self.dt
+        for block in ("position_profile", "supply_uncertainty", "force_disturbance"):
+            if not math.isfinite(TWO_PI * getattr(self, block).frequency_hz * t_last):
+                raise ConfigError(f"{block}.frequency_hz gives no finite phase "
+                                  f"2*pi*f*t at the last sample t = {t_last:.9g} s")
         if self.substeps < 1:
             raise ConfigError("substeps must be >= 1")
         if self.seed < 0:
@@ -370,29 +375,30 @@ def _read_sidecar(path) -> np.ndarray | None:
     return columns.T
 
 
+def _pi_clamped(e: float, i_prev: float, kp: float, ki: float, dt: float,
+                out_range: tuple[float, float]) -> tuple[float, float]:
+    """(output, integrator) of one PI loop; the integrator holds while saturated."""
+    i = i_prev + ki * dt * e
+    u = kp * e + i
+    if u > out_range[1]:
+        return out_range[1], i_prev
+    if u < out_range[0]:
+        return out_range[0], i_prev
+    return u, i
+
+
 def pi_controllers(y: tuple[float, float, float, float],
                    setpoints: tuple[float, float], gains: ControllerGains,
                    integrators: tuple[float, float],
                    dt: float) -> tuple[ControlInputs, tuple[float, float]]:
     """PI position and supply-pressure loops with clamping anti-windup.
 
-    The integrator holds its previous value whenever the output saturates.
     Returns the saturated control inputs and the updated integrator pair.
     """
-    e_pos = setpoints[0] - y[3]
-    e_sup = setpoints[1] - y[2]
-    i_pos = integrators[0] + gains.ki_pos * dt * e_pos
-    u1 = gains.kp_pos * e_pos + i_pos
-    if u1 > U1_RANGE[1]:
-        u1, i_pos = U1_RANGE[1], integrators[0]
-    elif u1 < U1_RANGE[0]:
-        u1, i_pos = U1_RANGE[0], integrators[0]
-    i_sup = integrators[1] + gains.ki_supply * dt * e_sup
-    u2 = gains.kp_supply * e_sup + i_sup
-    if u2 > U2_RANGE[1]:
-        u2, i_sup = U2_RANGE[1], integrators[1]
-    elif u2 < U2_RANGE[0]:
-        u2, i_sup = U2_RANGE[0], integrators[1]
+    u1, i_pos = _pi_clamped(setpoints[0] - y[3], integrators[0],
+                            gains.kp_pos, gains.ki_pos, dt, U1_RANGE)
+    u2, i_sup = _pi_clamped(setpoints[1] - y[2], integrators[1],
+                            gains.kp_supply, gains.ki_supply, dt, U2_RANGE)
     return ControlInputs(u1, u2), (i_pos, i_sup)
 
 

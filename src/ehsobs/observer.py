@@ -180,30 +180,25 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
         mu_1, c1 = astw_step(c1, s1, p1, dt)
         mu_2, c2 = astw_step(c2, s2, p2, dt)
         mu_3, c3 = astw_step(c3, s3, p3, dt)
-        # channel 4 splits the same law across the second-order block
         L1_4 = adapt_gain(c4.L1, s4, p4, dt)
-        L2_4 = p4.lambda1 * L1_4
-        mu4_pos = L1_4 * sqrt_sign(s4)
-        L2_1, L2_2, L2_3 = (p1.lambda1 * c1.L1, p2.lambda1 * c2.L1,
-                            p3.lambda1 * c3.L1)
+        L2 = (p1.lambda1 * c1.L1, p2.lambda1 * c2.L1, p3.lambda1 * c3.L1,
+              p4.lambda1 * L1_4)
     elif kind == "stw":
         g1, g2, g3, g4 = cfg.stw
         mu_1, c1 = stw_step(c1, s1, g1.L1, g1.L2, dt)
         mu_2, c2 = stw_step(c2, s2, g2.L1, g2.L2, dt)
         mu_3, c3 = stw_step(c3, s3, g3.L1, g3.L2, dt)
-        L1_4, L2_4 = g4.L1, g4.L2
-        mu4_pos = L1_4 * sqrt_sign(s4)
-        L2_1, L2_2, L2_3 = g1.L2, g2.L2, g3.L2
+        L1_4 = g4.L1
+        L2 = (g1.L2, g2.L2, g3.L2, g4.L2)
     else:  # fosmo
-        r1, r2, r3, r4 = cfg.fosmo.rho
+        r1, r2, r3, L1_4 = cfg.fosmo.rho
         mu_1 = fosmo_step(s1, r1)
         mu_2 = fosmo_step(s2, r2)
         mu_3 = fosmo_step(s3, r3)
-        L1_4 = r4
-        L2_4 = cfg.fosmo.rho4_vel
-        mu4_pos = r4 * sign(s4)
-        L2_1 = L2_2 = L2_3 = 0.0
-    mu4_vel = L2_4 * sign(s4)
+        L2 = (0.0, 0.0, 0.0, cfg.fosmo.rho4_vel)
+    # channel 4 splits the law across the second-order block
+    mu4_pos = L1_4 * (sign(s4) if kind == "fosmo" else sqrt_sign(s4))
+    mu4_vel = L2[3] * sign(s4)
 
     # chamber-volume coefficients from the measured position, held over dt
     v1 = p.V01 + p.A1 * y4
@@ -248,5 +243,5 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
     new = ObserverState(z1, yh1, yh2, yh3, yh4, z2,
                         (c1, c2, c3, AstwCellState(L1_4, c4.nu)))
     inj = ChannelInjections((s1, s2, s3, s4), (mu_1, mu_2, mu_3, mu4_vel),
-                            (c1.L1, c2.L1, c3.L1, L1_4), (L2_1, L2_2, L2_3, L2_4))
+                            (c1.L1, c2.L1, c3.L1, L1_4), L2)
     return new, inj

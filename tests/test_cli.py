@@ -143,6 +143,12 @@ MALFORMED = {
     "duplicate-key-nested": ("duplicate key 'observer.stw[0].L1'\n",
                              json.dumps(_with(("observer", "stw", 0), {"L1": 1.0, "L2": 1.0}))
                              .replace('"L2": 1.0}', '"L2": 1.0, "L1": 2.0}', 1)),
+    **{f"{block}-frequency-overflow": (
+        f"{block}.frequency_hz gives no finite phase",
+        json.dumps({**_short_dict(), "duration": 4.0,
+                    block: {**_short_dict()[block], "frequency_hz": 1e307,
+                            **({} if block == "position_profile" else {"amplitude": 1.0})}}))
+       for block in ("position_profile", "supply_uncertainty", "force_disturbance")},
     "undecodable-bytes": ("{path}: invalid JSON: 'utf-8' codec can't decode byte 0xff",
                           b'{"duration": \xff}'),
 }

@@ -45,6 +45,25 @@ from ehsobs.observer import FosmoGains, ObserverConfig, StwGains
 from ehsobs.plant import ControlInputs, PlantParams
 
 
+# --- noise-free trace digests -------------------------------------------------
+
+# sha256 of trace.data.tobytes() for each noise-free session fixture; like
+# perfbench/reference.json these are a contract: a deliberate trace change
+# updates them and states why
+NOISE_FREE_DIGESTS = {
+    "fault_trace": "b21cc5286e44de1ccfe2394846130507ecfd4f3c8f5a103179bfa3f9e6006bb5",
+    "stw_trace": "f53ec46990e413f44465bc761f8fbbe2b524ad981df5d92638cff7b723acd03a",
+    "fosmo_trace": "0c3db91d3bd3d5f6bc88b562cd735c09fe6973f02a6aee75ec5320f3d6f72870",
+    "nofault_trace": "16d6c9ece3ad0f23d5a2f9ccac9529e7b74bbfb40e21f5fc9e04edb06e3e7243",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(NOISE_FREE_DIGESTS))
+def test_noise_free_trace_is_pinned_bit_for_bit(fixture, request):
+    trace = request.getfixturevalue(fixture)
+    assert hashlib.sha256(trace.data.tobytes()).hexdigest() == NOISE_FREE_DIGESTS[fixture]
+
+
 # --- PI controllers -----------------------------------------------------------
 
 def test_pi_zero_error_zero_output():
@@ -62,6 +81,8 @@ def test_pi_saturation_clamps_exactly():
     assert u.u1 == -10.0
     u, _ = pi_controllers((0.0, 0.0, 1e9, 0.1), (0.1, 3e6), gains, (0.0, 0.0), 1e-3)
     assert u.u2 == 0.0
+    u, _ = pi_controllers((0.0, 0.0, 0.0, 0.1), (0.1, 1e7), gains, (0.0, 0.0), 1e-3)
+    assert u.u2 == 5.0
 
 
 def test_pi_antiwindup_freezes_integrator():
@@ -71,6 +92,11 @@ def test_pi_antiwindup_freezes_integrator():
         u, integ = pi_controllers((0.0, 0.0, 3e6, -10.0), (0.1, 3e6), gains, integ, 1e-3)
     assert u.u1 == 10.0
     assert integ[0] == 0.0  # never wound up while saturated
+    integ = (0.0, 0.0)
+    for _ in range(100):
+        u, integ = pi_controllers((0.0, 0.0, 0.0, 0.1), (0.1, 1e7), gains, integ, 1e-3)
+    assert u.u2 == 5.0
+    assert integ[1] == 0.0
 
 
 # --- scenario validation ------------------------------------------------------
