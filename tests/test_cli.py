@@ -143,12 +143,14 @@ MALFORMED = {
     "duplicate-key-nested": ("duplicate key 'observer.stw[0].L1'\n",
                              json.dumps(_with(("observer", "stw", 0), {"L1": 1.0, "L2": 1.0}))
                              .replace('"L2": 1.0}', '"L2": 1.0, "L1": 2.0}', 1)),
+    # 2*pi*f*t at f = 1e307 overflows to inf near t = 2.9 s, inside the 4 s run
     **{f"{block}-frequency-overflow": (
         f"{block}.frequency_hz gives no finite phase",
         json.dumps({**_short_dict(), "duration": 4.0,
-                    block: {**_short_dict()[block], "frequency_hz": 1e307,
-                            **({} if block == "position_profile" else {"amplitude": 1.0})}}))
-       for block in ("position_profile", "supply_uncertainty", "force_disturbance")},
+                    block: {**_short_dict()[block], **edit}}))
+       for block, edit in (("position_profile", {"frequency_hz": 1e307}),
+                           ("supply_uncertainty", {"frequency_hz": 1e307, "amplitude": 1.0}),
+                           ("force_disturbance", {"frequency_hz": 1e307, "amplitude": 1.0}))},
     "undecodable-bytes": ("{path}: invalid JSON: 'utf-8' codec can't decode byte 0xff",
                           b'{"duration": \xff}'),
 }
