@@ -34,6 +34,7 @@ from .harness import (
     NumericalAbort,
     Scenario,
     SimTrace,
+    _remove_old,
     read_scenario,
     run_scenario,
 )
@@ -92,8 +93,10 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo_f, hi_f
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _write_output(path: Path, text: str) -> None:
+    """Write `text` as a new file at `path`, replacing any file there."""
+    _remove_old(path)
+    path.write_text(text, encoding="utf-8")
 
 
 def _require_blocks(scenario: Scenario, kinds, command: str) -> None:
@@ -120,7 +123,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = _run_kind(scenario, kind, args.seed, out / "trace.csv")
-    _write_json(asdict(report), out / "metrics.json")
+    _write_output(out / "metrics.json", json.dumps(asdict(report), indent=2) + "\n")
     print(f"wrote {out / 'trace.csv'} ({scenario.n_records()} records) "
           f"and {out / 'metrics.json'}")
     return EXIT_OK
@@ -134,8 +137,9 @@ def _cmd_compare(args) -> int:
     reports = {kind: _run_kind(scenario, kind, args.seed, out / f"trace_{kind}.csv")
                for kind in OBSERVER_KINDS}
     table = comparison_table(reports)
-    _write_json({k: asdict(r) for k, r in reports.items()}, out / "report.json")
-    (out / "report.txt").write_text(table, encoding="utf-8")
+    _write_output(out / "report.json",
+                  json.dumps({k: asdict(r) for k, r in reports.items()}, indent=2) + "\n")
+    _write_output(out / "report.txt", table)
     print(table)
     print(f"wrote traces and reports to {out}")
     return EXIT_OK
@@ -188,7 +192,7 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"{args.trace}: {exc}") from exc
     text = json.dumps(asdict(report), indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write_output(Path(args.out), text + "\n")
         print(f"wrote {args.out}")
     else:
         print(text)

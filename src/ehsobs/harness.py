@@ -271,6 +271,8 @@ class SimTrace:
         from . import textfmt
 
         data = np.asarray(self.data, dtype=np.float64)
+        _remove_old(_sidecar_path(path))  # first, so no stale sidecar sits beside the new CSV
+        _remove_old(path)
         csv_digest = textfmt.write_csv(path, data, header=",".join(TRACE_COLUMNS))
         _write_sidecar(path, data, csv_digest)
 
@@ -323,6 +325,17 @@ def _check_rows(path, data: np.ndarray) -> None:
 SIDECAR_MAGIC = b"EHSOBS\x00\x03"  # format name and version
 _SIDECAR_HEAD = len(SIDECAR_MAGIC) + 2 * 32  # and the two sha256 digests
 _CSV_BLOCK = 1 << 20  # the CSV is hashed in blocks, never held whole
+
+
+def _remove_old(path) -> None:
+    """Unlink any file at `path`, so the write that follows makes a new one.
+    On ext4 (auto_da_alloc) closing a file truncated in place, or renaming one
+    over it, starts writeback of all its pages, and the next truncation waits
+    for it: 70-300 ms per 10 MB on a 2-vCPU host, against 1 ms for a new file."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
 def _sidecar_path(path) -> str:

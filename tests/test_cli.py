@@ -363,14 +363,19 @@ def test_report_malformed_trace_exits_2(case, tmp_path, capsys):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "report"])
+@pytest.mark.parametrize("command", ["run", "compare", "report", "run-into-dir", "report-into-dir"])
 def test_unwritable_output_exits_2(command, short_scenario_file, tmp_path, capsys):
     blocker = tmp_path / "F"
     blocker.write_text("")
-    if command == "report":
+    if command.startswith("report"):
         trace = tmp_path / "trace.csv"
         run_scenario(replace(nofault_scenario(), duration=0.05)).write_csv(trace)
-        argv = ["report", "--trace", str(trace), "--out", str(tmp_path / "missing" / "r.json")]
+        # a missing parent, or a directory where the output file goes (which unlink refuses)
+        out = tmp_path / "missing" / "r.json" if command == "report" else tmp_path
+        argv = ["report", "--trace", str(trace), "--out", str(out)]
+    elif command == "run-into-dir":
+        (tmp_path / "D" / "trace.csv").mkdir(parents=True)
+        argv = ["run", "--scenario", str(short_scenario_file), "--out", str(tmp_path / "D")]
     else:  # run makes the directory F/x, compare the directory F
         out = blocker / "x" if command == "run" else blocker
         argv = [command, "--scenario", str(short_scenario_file), "--out", str(out)]

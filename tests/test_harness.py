@@ -30,6 +30,7 @@ from ehsobs.harness import (
     SimTrace,
     TRACE_COLUMNS,
     _noise_rows,
+    _read_sidecar,
     default_scenario,
     nofault_scenario,
     noisy_scenario,
@@ -517,6 +518,26 @@ def test_sidecar_fault_falls_back_to_csv_parse(case, tmp_path):
     got = _read(path, parsed=True)
     sidecar.unlink(missing_ok=True)
     _assert_same_read(got, _read(path, parsed=True))
+
+
+def test_rewritten_trace_is_new_files(fault_trace, tmp_path):
+    """A rewrite unlinks the old CSV and sidecar rather than truncating them in
+    place; links held to the old files keep their bytes whole."""
+    path = tmp_path / "trace.csv"
+    sidecar = Path(f"{path}.f64")
+    SimTrace(data=_short_data()).write_csv(path)
+    held = {}
+    for name, old in (("csv", path), ("f64", sidecar)):
+        link = tmp_path / f"held.{name}"  # keeps the old inode from being reused
+        link.hardlink_to(old)
+        held[old] = (link, old.stat().st_ino, old.read_bytes())
+    new = fault_trace.data[12_000:12_005]  # default, inside the leak window
+    SimTrace(data=new).write_csv(path)
+    for old, (link, ino, data) in held.items():
+        assert old.stat().st_ino != ino
+        assert link.read_bytes() == data
+    assert _read_sidecar(path) is not None
+    assert np.array_equal(SimTrace.read_csv(path).data, new)
 
 
 # --- closed-loop runs ----------------------------------------------------------
