@@ -94,7 +94,6 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _write_output(path: Path, text: str) -> None:
-    """Write `text` as a new file at `path`, replacing any file there."""
     _remove_old(path)
     path.write_text(text, encoding="utf-8")
 
