@@ -88,8 +88,8 @@ def _parse_window(text: str) -> tuple[float, float]:
         lo_f, hi_f = float(lo), float(hi)
     except ValueError as exc:
         raise ConfigError(f"bad window {text!r}, expected LO:HI") from exc
-    if not hi_f > lo_f:
-        raise ConfigError(f"bad window {text!r}, need LO < HI")
+    if not (math.isfinite(lo_f) and math.isfinite(hi_f) and hi_f > lo_f):
+        raise ConfigError(f"bad window {text!r}, need finite LO < HI")
     return lo_f, hi_f
 
 

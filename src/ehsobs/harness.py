@@ -46,6 +46,7 @@ from .reconstruction import lowpass_step
 
 np = LazyModule("numpy")
 hashlib = LazyModule("hashlib")
+threading = LazyModule("threading")
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,7 +326,7 @@ def _check_rows(path, data: np.ndarray) -> None:
 
 SIDECAR_MAGIC = b"EHSOBS\x00\x03"  # format name and version
 _SIDECAR_HEAD = len(SIDECAR_MAGIC) + 2 * 32  # and the two sha256 digests
-_CSV_BLOCK = 1 << 20  # the CSV is hashed in blocks, never held whole
+_CSV_BLOCK = 1 << 18  # the CSV is hashed in blocks, never held whole
 
 
 def _remove_old(path) -> None:
@@ -355,8 +356,8 @@ def _write_sidecar(path, data: np.ndarray, csv_digest: bytes) -> None:
 
 
 def _file_sha256(path) -> bytes:
-    """sha256 of the file at `path`, read in blocks into one buffer, which is
-    freed on return, before the caller loads the array."""
+    """sha256 of the file at `path`, read in blocks of _CSV_BLOCK bytes into one
+    buffer, which stays alive while the reading thread loads the array."""
     digest = hashlib.sha256()
     block = bytearray(_CSV_BLOCK)
     view = memoryview(block)
@@ -366,22 +367,41 @@ def _file_sha256(path) -> bytes:
     return digest.digest()
 
 
+def _sha256_into(path, out: list) -> None:
+    """Append the sha256 of the file at `path` to `out`, or what stopped it."""
+    try:
+        out.append(_file_sha256(path))
+    except Exception as exc:  # raised again on the reading thread
+        out.append(exc)
+
+
 def _read_sidecar(path) -> np.ndarray | None:
     """The array cached beside the CSV at `path`, or None unless the file is the
-    head and whole rows of 41 columns, and both digests hold."""
+    head and whole rows of 41 columns, and both digests hold.  The CSV is hashed
+    on a second thread while this one loads and hashes the array: sha256, reads
+    and np.fromfile release the GIL."""
     n_cols = len(TRACE_COLUMNS)
+    csv_digest = []
+    worker = threading.Thread(target=_sha256_into, args=(path, csv_digest))
     try:
         with open(_sidecar_path(path), "rb") as fh:
             head = fh.read(_SIDECAR_HEAD)  # the magic, the CSV digest, the array digest
             rows, rest = divmod(os.fstat(fh.fileno()).st_size - _SIDECAR_HEAD, n_cols * 8)
             # a file shorter than the head leaves a rest; the CSV is hashed only behind this magic
-            if (rest or not head.startswith(SIDECAR_MAGIC)
-                    or head[:-32] != SIDECAR_MAGIC + _file_sha256(path)):
+            if rest or not head.startswith(SIDECAR_MAGIC):
                 return None
-            columns = np.fromfile(fh, dtype=np.float64).reshape(n_cols, rows)
+            worker.start()
+            try:
+                columns = np.fromfile(fh, dtype=np.float64).reshape(n_cols, rows)
+                array_digest = hashlib.sha256(columns).digest()
+            finally:  # no worker outlives the read
+                worker.join()
+        (digest,) = csv_digest
+        if isinstance(digest, Exception):
+            raise digest
     except (OSError, ValueError):  # missing, or changed while read
         return None
-    if hashlib.sha256(columns).digest() != head[-32:]:
+    if head != SIDECAR_MAGIC + digest + array_digest:
         return None
     return columns.T
 
@@ -669,6 +689,7 @@ def read_scenario(path) -> Scenario:
 
 
 def write_scenario(sc: Scenario, path) -> None:
+    _remove_old(path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario_to_dict(sc), fh, indent=2)
         fh.write("\n")

@@ -404,6 +404,7 @@ def test_report_bad_window_exits_2(tmp_path, capsys):
     # the later --trace wins: neither file exists, and the scenario is named
     (51, ["--trace", "{dir}/none.csv", "--scenario", "{dir}/none.json"],
      "cannot read scenario file"),
+    (51, ["--window=-inf:0.02"], "need finite LO < HI"),
 ])
 def test_report_bad_request_exits_2(rows, options, message, tmp_path, capsys):
     sc = replace(nofault_scenario(), duration=0.05)

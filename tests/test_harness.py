@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from dataclasses import astuple, fields, replace
@@ -192,9 +193,14 @@ def test_fault_inputs_step_quantized():
 # --- serialization -------------------------------------------------------------
 
 def test_scenario_round_trip_identity(tmp_path):
+    path = tmp_path / "sc.json"
+    held = tmp_path / "held.json"  # keeps each old inode from being reused
     for sc in (default_scenario(), nofault_scenario(), noisy_scenario()):
-        path = tmp_path / "sc.json"
+        old = path.stat().st_ino if path.exists() else None
         write_scenario(sc, path)
+        assert path.stat().st_ino != old  # a rewrite makes a new file
+        held.unlink(missing_ok=True)
+        held.hardlink_to(path)
         assert read_scenario(path) == sc
 
 
@@ -406,7 +412,9 @@ def test_edited_trace_cell_reads_or_raises_config_error(three_row_csv, row, colu
 
 def _read(path, parsed: bool):
     """read_csv's array as int64 bits, or its ConfigError text; `parsed` says
-    whether the CSV must have been parsed (True) or loaded from its sidecar."""
+    whether the CSV must have been parsed (True) or loaded from its sidecar.
+    No thread started by the read outlives it."""
+    threads = threading.active_count()
     with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
         warnings.simplefilter("error")
         try:
@@ -414,6 +422,7 @@ def _read(path, parsed: bool):
         except ConfigError as exc:
             result = str(exc)
     assert parse.called == parsed
+    assert threading.active_count() == threads
     return result
 
 
@@ -518,6 +527,19 @@ def test_sidecar_fault_falls_back_to_csv_parse(case, tmp_path):
     got = _read(path, parsed=True)
     sidecar.unlink(missing_ok=True)
     _assert_same_read(got, _read(path, parsed=True))
+
+
+def test_csv_hash_error_falls_back_to_csv_parse(tmp_path, monkeypatch):
+    """An OSError while the CSV is hashed, on the worker thread, is a sidecar miss."""
+    path = tmp_path / "trace.csv"
+    SimTrace(data=_short_data()).write_csv(path)
+    cached = _read(path, parsed=False)
+
+    def unreadable(path):
+        raise OSError("read error")
+
+    monkeypatch.setattr("ehsobs.harness._file_sha256", unreadable)
+    _assert_same_read(_read(path, parsed=True), cached)
 
 
 def test_rewritten_trace_is_new_files(fault_trace, tmp_path):

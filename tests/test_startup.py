@@ -1,9 +1,9 @@
 """Start-up without numpy.
 
 The package, the scenario codec and the CLI's non-array paths never import
-numpy: the modules that use it bind it lazily and load it at their first
-array operation.  Each case runs in a fresh interpreter, since this process
-has numpy loaded already.
+numpy, hashlib or threading: the modules that use them bind them lazily and
+load them at first use.  Each case runs in a fresh interpreter, since this
+process has them loaded already.
 """
 
 import os
@@ -21,9 +21,9 @@ from ehsobs.reconstruction import FaultEstimate
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_fresh(code: str, cwd: Path) -> str:
+def run_fresh(code: str, cwd: Path, *flags: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -33,6 +33,7 @@ NON_ARRAY_PATHS = f"""
 import contextlib, io, sys, typing
 from pathlib import Path
 
+before = set(sys.modules)  # site may load threading through a .pth file
 import ehsobs
 from ehsobs.cli import main
 
@@ -52,7 +53,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert main(["run", "--scenario", "bad.json", "--out", "out"]) == 2
     assert main(["compare", "--scenario", "bad.json", "--out", "out"]) == 2
     assert main(["report", "--trace", "none.csv", "--scenario", "bad.json"]) == 2
-assert "numpy" not in sys.modules
+assert not {{"numpy", "hashlib", "threading"}} & (sys.modules.keys() - before)
 print("ok")
 """
 
@@ -60,6 +61,8 @@ print("ok")
 def test_non_array_paths_never_import_numpy(tmp_path):
     (tmp_path / "bad.json").write_text('{"observer": {"kind": "astw", "lambda2": 1}}')
     assert run_fresh(NON_ARRAY_PATHS, tmp_path) == "ok\n"
+    # without site, whose .pth files may import threading before the baseline
+    assert run_fresh(NON_ARRAY_PATHS, tmp_path, "-S") == "ok\n"
 
 
 def test_array_annotations_resolve():
