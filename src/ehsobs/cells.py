@@ -12,7 +12,7 @@ an injection signal for one observer channel.  Three laws are provided:
 Cells are value objects and the step functions are pure: they return the
 injection and a new cell state, never mutating their inputs.  As in
 `plant`, tuning constants are frozen dataclasses and the per-sample cell
-state is a NamedTuple.
+state is a NamedTuple, built with `tuple.__new__`.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ class AstwCellState(NamedTuple):
     nu: float = 0.0
 
 
+_new = tuple.__new__  # builds a NamedTuple without its generated __new__ frame
+
+
 def adapt_gain(L1: float, sigma: float, p: AstwCellParams, dt: float) -> float:
     """One Euler step of the gain-adaptation law, clamped at the floor.
 
@@ -77,12 +80,13 @@ def adapt_gain(L1: float, sigma: float, p: AstwCellParams, dt: float) -> float:
     whether |sigma| sits outside or inside the dead-band; at (or below) the
     floor it ramps back up at L_ramp.
     """
-    if L1 > p.L_floor:
+    L_floor = p.L_floor
+    if L1 > L_floor:
         new = L1 + dt * p.alpha1 * math.sqrt(0.5 * p.Gamma1) * sign(abs(sigma) - p.epsilon)
     else:
         new = L1 + dt * p.L_ramp
-    if new < p.L_floor:
-        new = p.L_floor
+    if new < L_floor:
+        new = L_floor
     return new
 
 
@@ -95,11 +99,12 @@ def astw_step(cell: AstwCellState, sigma: float, p: AstwCellParams,
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    L1 = adapt_gain(cell.L1, sigma, p, dt)
+    L1_prev, nu_prev = cell
+    L1 = adapt_gain(L1_prev, sigma, p, dt)
     L2 = p.lambda1 * L1
-    nu = cell.nu + dt * L2 * sign(sigma)
+    nu = nu_prev + dt * L2 * sign(sigma)
     mu = L1 * sqrt_sign(sigma) + nu
-    return mu, AstwCellState(L1, nu)
+    return mu, _new(AstwCellState, (L1, nu))
 
 
 def stw_step(cell: AstwCellState, sigma: float, L1_fixed: float,
@@ -109,9 +114,10 @@ def stw_step(cell: AstwCellState, sigma: float, L1_fixed: float,
         raise ValueError("dt must be > 0")
     if L1_fixed <= 0.0 or L2_fixed <= 0.0:
         raise ValueError("fixed gains must be > 0")
-    nu = cell.nu + dt * L2_fixed * sign(sigma)
+    _, nu_prev = cell
+    nu = nu_prev + dt * L2_fixed * sign(sigma)
     mu = L1_fixed * sqrt_sign(sigma) + nu
-    return mu, AstwCellState(L1_fixed, nu)
+    return mu, _new(AstwCellState, (L1_fixed, nu))
 
 
 def fosmo_step(sigma: float, rho_gain: float) -> float:

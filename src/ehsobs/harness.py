@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import types
 import warnings
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
@@ -47,6 +48,8 @@ from .reconstruction import lowpass_step
 np = LazyModule("numpy")
 hashlib = LazyModule("hashlib")
 threading = LazyModule("threading")
+
+_new = tuple.__new__  # builds a NamedTuple without its generated __new__ frame
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,7 +236,7 @@ class Scenario:
                 delta += fw.Delta
         delta += self.supply_uncertainty.value(t)
         f_d += self.force_disturbance.value(t)
-        return FaultInputs(C_i, C_e1, C_e2, f_d, delta)
+        return _new(FaultInputs, (C_i, C_e1, C_e2, f_d, delta))
 
 
 # The CSV header, in order, of the plain-tuple records step_closed_loop returns.
@@ -249,6 +252,7 @@ TRACE_COLUMNS = (
     "f1_hat", "f2_hat", "rho4_hat",
     "u1", "u2",
 )
+_RECORD = struct.Struct(f"{len(TRACE_COLUMNS)}d")  # one row of native float64, as numpy holds it
 
 
 @dataclass
@@ -426,11 +430,14 @@ def pi_controllers(y: tuple[float, float, float, float],
 
     Returns the saturated control inputs and the updated integrator pair.
     """
-    u1, i_pos = _pi_clamped(setpoints[0] - y[3], integrators[0],
+    _, _, y3, y4 = y
+    pos_setpoint, supply_setpoint = setpoints
+    i_pos, i_sup = integrators
+    u1, i_pos = _pi_clamped(pos_setpoint - y4, i_pos,
                             gains.kp_pos, gains.ki_pos, dt, U1_RANGE)
-    u2, i_sup = _pi_clamped(setpoints[1] - y[2], integrators[1],
+    u2, i_sup = _pi_clamped(supply_setpoint - y3, i_sup,
                             gains.kp_supply, gains.ki_supply, dt, U2_RANGE)
-    return ControlInputs(u1, u2), (i_pos, i_sup)
+    return _new(ControlInputs, (u1, u2)), (i_pos, i_sup)
 
 
 class LoopState(NamedTuple):
@@ -457,37 +464,42 @@ def step_closed_loop(state: LoopState, scenario: Scenario, t: float,
     sc = scenario
     p = sc.plant
     x, obs, integrators, mu_eq1, mu_eq2, rho4_filt = state
+    _, x2, x3, x4, x5, _ = x
+    n1, n2, n3, n4 = noise_row
     dt = sc.dt
+    substeps = sc.substeps
     faults = sc.fault_inputs(t)
-    y = (x.x2 + noise_row[0], x.x3 + noise_row[1],
-         x.x4 + noise_row[2], x.x5 + noise_row[3])
+    y4 = x5 + n4
+    y = (x2 + n1, x3 + n2, x4 + n3, y4)
     setpoints = (sc.position_profile.setpoint(t), sc.supply_setpoint)
     u, integrators = pi_controllers(y, setpoints, sc.controller, integrators, dt)
     if obs is None:
         obs = init_observer(sc.observer, y)
-    obs_next, inj = observer_step(obs, y, u, p, sc.observer, dt, sc.substeps)
+    obs_next, inj = observer_step(obs, y, u, p, sc.observer, dt, substeps)
     sigma, mu, L1, L2 = inj
+    mu1, mu2, _, mu4 = mu
 
+    _, _, _, _, A1, A2, _, _, PT, _, V01, V02, beta, _, _ = p.loop_constants
     tau = sc.reconstruction_tau
-    mu_eq1 = lowpass_step(mu_eq1, mu[0], dt, tau)
-    mu_eq2 = lowpass_step(mu_eq2, mu[1], dt, tau)
-    rho4_filt = lowpass_step(rho4_filt, mu[3], dt, tau)
-    f1_hat = mu_eq1 * (p.V01 + p.A1 * y[3]) / p.beta
-    f2_hat = mu_eq2 * (p.V02 - p.A2 * y[3]) / p.beta
+    mu_eq1 = lowpass_step(mu_eq1, mu1, dt, tau)
+    mu_eq2 = lowpass_step(mu_eq2, mu2, dt, tau)
+    rho4_filt = lowpass_step(rho4_filt, mu4, dt, tau)
+    f1_hat = mu_eq1 * (V01 + A1 * y4) / beta
+    f2_hat = mu_eq2 * (V02 - A2 * y4) / beta
 
-    QL1, QL2 = leakage_flows(x.x2, x.x3, p.P_T, faults)
-    record = (t, *x, *y, *obs.estimates(), *sigma, *mu, *L1, *L2,
-              QL1, QL2, faults.f_d, f1_hat, f2_hat, rho4_filt, *u)
+    QL1, QL2 = leakage_flows(x2, x3, PT, faults)
+    record = (t, *x, *y, *obs[:6], *sigma, *mu, *L1, *L2,
+              QL1, QL2, faults[3], f1_hat, f2_hat, rho4_filt, *u)
 
     if advance:
-        plant_next = advance_plant(x, u, faults, p, dt, sc.substeps)
-        state_next = (*plant_next, *obs_next.estimates())
+        plant_next = advance_plant(x, u, faults, p, dt, substeps)
+        state_next = (*plant_next, *obs_next[:6])
         if not all(map(math.isfinite, state_next)):
             raise NumericalAbort(t, _first_non_finite((*x, *obs.estimates()), state_next))
     else:
         plant_next = x
         obs_next = obs
-    return LoopState(plant_next, obs_next, integrators, mu_eq1, mu_eq2, rho4_filt), record
+    return _new(LoopState, (plant_next, obs_next, integrators, mu_eq1, mu_eq2, rho4_filt)), record
 
 
 def _first_non_finite(before: tuple[float, ...], after: tuple[float, ...]) -> str:
@@ -524,10 +536,11 @@ def run_scenario(scenario: Scenario, observer_kind: str | None = None,
 
     dt = sc.dt
     rows = np.empty((n, len(TRACE_COLUMNS)))
+    store, size, buffer = _RECORD.pack_into, _RECORD.size, rows.data
+    last = n - 1
     for k, noise_row in enumerate(noise):
-        state, record = step_closed_loop(state, sc, k * dt, noise_row,
-                                         advance=k < n - 1)
-        rows[k] = record
+        state, record = step_closed_loop(state, sc, k * dt, noise_row, k < last)
+        store(buffer, k * size, *record)  # rows[k] = record, without numpy's per-item conversion
     return SimTrace(data=rows)
 
 

@@ -15,7 +15,8 @@ velocity enter through their estimates.  The unknown disturbance force is
 deliberately absent from the velocity line; it is exactly what the channel-4
 injection has to absorb, which is what makes it reconstructable.
 Configuration blocks are frozen dataclasses; the observer state and the
-injection record, built on every sample, are NamedTuples.
+injection record, built on every sample, are NamedTuples, which
+`observer_step` builds with `tuple.__new__`.
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ class ChannelInjections(NamedTuple):
     L2: tuple[float, float, float, float]
 
 
+_new = tuple.__new__  # builds a NamedTuple without its generated __new__ frame
+
+
 def init_observer(cfg: ObserverConfig,
                   y0: tuple[float, float, float, float]) -> ObserverState:
     """Build the observer start state from the first measurement sample."""
@@ -169,6 +173,7 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
         raise ValueError("dt must be > 0 and substeps >= 1")
     y1, y2, y3, y4 = y
     z1, yh1, yh2, yh3, yh4, z2, (c1, c2, c3, c4) = obs
+    L1_4_prev, nu_4 = c4
     s1 = y1 - yh1
     s2 = y2 - yh2
     s3 = y3 - yh3
@@ -180,7 +185,7 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
         mu_1, c1 = astw_step(c1, s1, p1, dt)
         mu_2, c2 = astw_step(c2, s2, p2, dt)
         mu_3, c3 = astw_step(c3, s3, p3, dt)
-        L1_4 = adapt_gain(c4.L1, s4, p4, dt)
+        L1_4 = adapt_gain(L1_4_prev, s4, p4, dt)
         L2 = (p1.lambda1 * c1.L1, p2.lambda1 * c2.L1, p3.lambda1 * c3.L1,
               p4.lambda1 * L1_4)
     elif kind == "stw":
@@ -200,18 +205,17 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
     mu4_pos = L1_4 * (sign(s4) if kind == "fosmo" else sqrt_sign(s4))
     mu4_vel = L2[3] * sign(s4)
 
+    tau_v, K_v, tau_s, K_r, A1, A2, m, c, PT, _, V01, V02, beta, kq, _ = p.loop_constants
     # chamber-volume coefficients from the measured position, held over dt
-    v1 = p.V01 + p.A1 * y4
-    v2 = p.V02 - p.A2 * y4
+    v1 = V01 + A1 * y4
+    v2 = V02 - A2 * y4
     if v1 <= 0.0 or v2 <= 0.0:
         raise DomainViolation(f"measured position {y4!r} collapses a chamber volume")
-    g_1 = p.beta / v1
-    g_2 = p.beta / v2
+    g_1 = beta / v1
+    g_2 = beta / v2
 
     h = dt / substeps
-    tau_v, K_v, tau_s, K_r = p.tau_v, p.K_v, p.tau_s, p.K_r
-    A1, A2, m, c, PT, kq = p.A1, p.A2, p.m, p.c, p.P_T, p.kq
-    u1, u2 = u.u1, u.u2
+    u1, u2 = u
     sqrt = math.sqrt
 
     for _ in range(substeps):
@@ -240,8 +244,8 @@ def observer_step(obs: ObserverState, y: tuple[float, float, float, float],
         yh4 += h * dy4
         z2 += h * dz2
 
-    new = ObserverState(z1, yh1, yh2, yh3, yh4, z2,
-                        (c1, c2, c3, AstwCellState(L1_4, c4.nu)))
-    inj = ChannelInjections((s1, s2, s3, s4), (mu_1, mu_2, mu_3, mu4_vel),
-                            (c1.L1, c2.L1, c3.L1, L1_4), L2)
+    new = _new(ObserverState, (z1, yh1, yh2, yh3, yh4, z2,
+                               (c1, c2, c3, _new(AstwCellState, (L1_4, nu_4)))))
+    inj = _new(ChannelInjections, ((s1, s2, s3, s4), (mu_1, mu_2, mu_3, mu4_vel),
+                                   (c1.L1, c2.L1, c3.L1, L1_4), L2))
     return new, inj

@@ -17,7 +17,8 @@ disturbance force on the cylinder enter through `FaultInputs`.  All
 operations are pure functions over value data.  Parameter blocks that a
 scenario file holds are frozen dataclasses, walked by the scenario codec;
 values built on every sample (`PlantState`, `FaultInputs`,
-`ControlInputs`) are NamedTuples, which are cheaper to build.
+`ControlInputs`) are NamedTuples, which the simulation loop builds with
+`tuple.__new__` and unpacks rather than reading by attribute.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class PlantParams:
     A1: float = field(init=False, repr=False)  # piston-side area [m^2]
     A2: float = field(init=False, repr=False)  # rod-side annular area [m^2]
     kq: float = field(init=False, repr=False)  # orifice coefficient C_d*w*sqrt(2/rho)
+    # the constants advance_plant and observer_step read on every sample, read
+    # as one tuple: tau_v, K_v, tau_s, K_r, A1, A2, m, c, P_T, stroke, V01,
+    # V02, beta, kq, P_s_max
+    loop_constants: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "A1", math.pi * self.d1 ** 2 / 4.0)
@@ -76,6 +81,10 @@ class PlantParams:
         # chamber volumes must stay positive over the full stroke
         if self.V02 - self.A2 * self.stroke <= 0.0:
             raise ValueError("rod-side chamber volume collapses within the stroke")
+        object.__setattr__(self, "loop_constants", (
+            self.tau_v, self.K_v, self.tau_s, self.K_r, self.A1, self.A2, self.m,
+            self.c, self.P_T, self.stroke, self.V01, self.V02, self.beta, self.kq,
+            self.P_s_max))
 
 
 class PlantState(NamedTuple):
@@ -111,12 +120,16 @@ class ControlInputs(NamedTuple):
     u2: float = 0.0
 
 
+_new = tuple.__new__  # builds a NamedTuple without its generated __new__ frame
+
+
 def leakage_flows(P1: float, P2: float, PT: float,
                   f: FaultInputs) -> tuple[float, float]:
     """Leakage flows into each chamber; the internal terms are equal and opposite."""
-    internal = f.C_i * (P2 - P1)
-    QL1 = internal - f.C_e1 * (P1 - PT)
-    QL2 = -internal - f.C_e2 * (P2 - PT)
+    C_i, C_e1, C_e2, _, _ = f
+    internal = C_i * (P2 - P1)
+    QL1 = internal - C_e1 * (P1 - PT)
+    QL2 = -internal - C_e2 * (P2 - PT)
     return QL1, QL2
 
 
@@ -136,12 +149,10 @@ def advance_plant(s: PlantState, u: ControlInputs, f: FaultInputs,
         raise ValueError("dt must be > 0 and substeps >= 1")
     h = dt / substeps
     x1, x2, x3, x4, x5, x6 = s
-    u1, u2 = u.u1, u.u2
-    tau_v, K_v, tau_s, K_r = p.tau_v, p.K_v, p.tau_s, p.K_r
-    A1, A2, m, c, PT, stroke = p.A1, p.A2, p.m, p.c, p.P_T, p.stroke
-    V01, V02, beta, kq = p.V01, p.V02, p.beta, p.kq
-    C_i, C_e1, C_e2, f_d, Delta = f.C_i, f.C_e1, f.C_e2, f.f_d, f.Delta
-    Ps_max = p.P_s_max
+    u1, u2 = u
+    C_i, C_e1, C_e2, f_d, Delta = f
+    (tau_v, K_v, tau_s, K_r, A1, A2, m, c, PT, stroke, V01, V02, beta, kq,
+     Ps_max) = p.loop_constants
     sqrt = math.sqrt
 
     for _ in range(substeps):
@@ -191,5 +202,5 @@ def advance_plant(s: PlantState, u: ControlInputs, f: FaultInputs,
             x5 = stroke
             x6 = 0.0
 
-    return PlantState(x1, x2, x3, x4, x5, x6)
+    return _new(PlantState, (x1, x2, x3, x4, x5, x6))
 

@@ -15,6 +15,7 @@ from ehsobs.cells import (
     sqrt_sign,
     stw_step,
 )
+from ehsobs.harness import default_cell_params
 
 CP = AstwCellParams(epsilon=1.0, alpha1=100.0, Gamma1=2.0, lambda1=1.0,
                     L_floor=0.1, L_ramp=100.0, L1_init=10.0)
@@ -142,6 +143,27 @@ def test_stw_gain_trace_constant():
 def test_stw_rejects_nonpositive_gains():
     with pytest.raises(ValueError):
         stw_step(AstwCellState(L1=1.0), 1.0, 0.0, 1.0, 1e-3)
+
+
+EPS = default_cell_params()[0].epsilon  # the shipped pressure-cell dead-band
+L_STAR = 2.0 * math.sqrt(EPS) / 1e-3  # 2.83e5 at dt = 1 ms
+
+
+@pytest.mark.parametrize("L1", [50.0, 1.0e3, 0.99 * L_STAR, 1.01 * L_STAR])
+def test_explicit_cell_settles_on_a_period_2_orbit(L1):
+    # sampled, the cell's own loop sigma+ = sigma - dt*mu has a period-2 orbit of
+    # amplitude (L1*dt)^2/4 (exact as L2*dt -> 0), so |sigma| can enter a
+    # dead-band eps only while L1 < L* = 2*sqrt(eps)/dt
+    dt = 1e-3
+    cell, sigma = AstwCellState(L1=L1), 1.0
+    for _ in range(2000):
+        mu, cell = stw_step(cell, sigma, L1, 1e-3, dt)
+        previous, sigma = sigma, sigma - dt * mu
+    amplitude = (L1 * dt) ** 2 / 4.0
+    assert sigma * previous < 0.0
+    assert abs(sigma) == pytest.approx(amplitude, rel=1e-3)
+    assert abs(previous) == pytest.approx(amplitude, rel=1e-3)
+    assert (min(abs(sigma), abs(previous)) > EPS) == (L1 > L_STAR)
 
 
 # --- first-order relay --------------------------------------------------------

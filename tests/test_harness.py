@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehsobs.cells import AstwCellParams
+from ehsobs.cells import AstwCellParams, AstwCellState
 from ehsobs.harness import (
     ConfigError,
     ControllerGains,
@@ -43,8 +46,22 @@ from ehsobs.harness import (
     step_closed_loop,
     write_scenario,
 )
-from ehsobs.observer import FosmoGains, ObserverConfig, StwGains
-from ehsobs.plant import ControlInputs, PlantParams
+from ehsobs.observer import (
+    OBSERVER_KINDS,
+    ChannelInjections,
+    FosmoGains,
+    ObserverConfig,
+    ObserverState,
+    StwGains,
+    observer_step,
+)
+from ehsobs.plant import (
+    ControlInputs,
+    FaultInputs,
+    PlantParams,
+    PlantState,
+    advance_plant,
+)
 
 
 # --- noise-free trace digests -------------------------------------------------
@@ -64,6 +81,26 @@ NOISE_FREE_DIGESTS = {
 def test_noise_free_trace_is_pinned_bit_for_bit(fixture, request):
     trace = request.getfixturevalue(fixture)
     assert hashlib.sha256(trace.data.tobytes()).hexdigest() == NOISE_FREE_DIGESTS[fixture]
+
+
+# The same for the noise path: the 30 s `noisy` session fixture (astw, seed 3)
+# and 2 s fault-free `noisy` runs of the other two kinds.  These also rest on
+# numpy's PCG64 `normal` stream.
+NOISY_DIGESTS = {
+    "astw": "9fa7efad9c19e432f9f33075440c140ce0cbebc06a79db6d110dd3dd3f36c675",
+    "stw": "b66aa335a59ce3761a69cbd6e1dc751225d7a5cb9a71fdd692f6b4142639cd90",
+    "fosmo": "6fff63907205d10b7a94518baf30783eefe3b2ba4630b5e77bf9ee9d2f90842a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOISY_DIGESTS))
+def test_noisy_trace_is_pinned_bit_for_bit(kind, request):
+    if kind == "astw":
+        trace = request.getfixturevalue("noisy_trace")
+    else:
+        trace = run_scenario(replace(noisy_scenario(), duration=2.0, faults=()),
+                             observer_kind=kind)
+    assert hashlib.sha256(trace.data.tobytes()).hexdigest() == NOISY_DIGESTS[kind]
 
 
 # --- PI controllers -----------------------------------------------------------
@@ -678,3 +715,60 @@ def test_step_closed_loop_single_step_matches_run(fault_scenario):
     manual = np.asarray(records)
     trace = run_scenario(sc)
     assert np.array_equal(manual, trace.data)
+
+
+def _read_by_name_as_by_position(value, cls) -> None:
+    assert type(value) is cls
+    assert tuple(getattr(value, name) for name in cls._fields) == tuple(value)
+
+
+@pytest.mark.parametrize("kind", OBSERVER_KINDS)
+def test_loop_values_keep_their_classes(kind, fault_scenario):
+    # the loop builds its NamedTuples with tuple.__new__, past their own __new__
+    sc = replace(fault_scenario, duration=0.01,
+                 observer=replace(fault_scenario.observer, kind=kind),
+                 faults=(FaultWindow(t_start=0.0, t_end=0.01, C_i=1e-11, C_e1=2e-12,
+                                     C_e2=3e-12, f_d=1.0, Delta=10.0),))
+    state = LoopState(plant=sc.initial_state.to_state(),
+                      integrators=(0.0, sc.supply_setpoint / sc.plant.K_r))
+    for k in range(3):
+        state, _ = step_closed_loop(state, sc, k * sc.dt, (0.0, 0.0, 0.0, 0.0))
+        _read_by_name_as_by_position(state, LoopState)
+        _read_by_name_as_by_position(state.plant, PlantState)
+        _read_by_name_as_by_position(state.observer, ObserverState)
+        for cell in state.observer.cells:
+            _read_by_name_as_by_position(cell, AstwCellState)
+
+    faults = sc.fault_inputs(0.0)
+    _read_by_name_as_by_position(faults, FaultInputs)
+    assert faults == (1e-11, 2e-12, 3e-12, 1.0, 10.0)
+    y = tuple(state.plant[1:5])
+    u, _ = pi_controllers(y, (0.1, 3e6), sc.controller, state.integrators, sc.dt)
+    _read_by_name_as_by_position(u, ControlInputs)
+    _, inj = observer_step(state.observer, y, u, sc.plant, sc.observer, sc.dt, sc.substeps)
+    _read_by_name_as_by_position(inj, ChannelInjections)
+    plant = advance_plant(state.plant, u, faults, sc.plant, sc.dt, sc.substeps)
+    _read_by_name_as_by_position(plant, PlantState)
+
+
+SCENARIO_DIGESTS = """
+import hashlib, sys
+from dataclasses import replace
+import ehsobs
+
+for name in sys.argv[1:]:
+    sc = replace(getattr(ehsobs, name + "_scenario")(), duration=0.5, faults=())
+    print(name, hashlib.sha256(ehsobs.run_scenario(sc).data.tobytes()).hexdigest())
+"""
+
+
+def test_scenarios_in_one_process_run_as_in_fresh_ones():
+    # nothing one scenario's run derives or caches reaches the next one's
+    def digests(*names: str) -> list[str]:
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", SCENARIO_DIGESTS, *names], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    assert digests("default", "noisy") == digests("default") + digests("noisy")

@@ -86,6 +86,21 @@ def test_orifice_coefficient_derived_once():
     assert "kq" not in scenario_to_dict(default_scenario())["plant"]
 
 
+# the fields PlantParams.loop_constants caches, in the order advance_plant and
+# observer_step unpack them
+LOOP_CONSTANTS = ("tau_v", "K_v", "tau_s", "K_r", "A1", "A2", "m", "c", "P_T",
+                  "stroke", "V01", "V02", "beta", "kq", "P_s_max")
+
+
+def test_loop_constants_equal_the_fields_they_cache():
+    other = replace(P, beta=2.0e9, rho=900.0, d1=0.02, P_T=1.0e5, stroke=0.15)
+    for p in (P, other):
+        assert p.loop_constants == tuple(getattr(p, name) for name in LOOP_CONSTANTS)
+    assert other.loop_constants != P.loop_constants
+    assert "loop_constants" not in repr(P)
+    assert "loop_constants" not in scenario_to_dict(default_scenario())["plant"]
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         PlantParams(beta=-1.0)
