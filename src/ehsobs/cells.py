@@ -80,13 +80,12 @@ def adapt_gain(L1: float, sigma: float, p: AstwCellParams, dt: float) -> float:
     whether |sigma| sits outside or inside the dead-band; at (or below) the
     floor it ramps back up at L_ramp.
     """
-    L_floor = p.L_floor
-    if L1 > L_floor:
+    if L1 > p.L_floor:
         new = L1 + dt * p.alpha1 * math.sqrt(0.5 * p.Gamma1) * sign(abs(sigma) - p.epsilon)
     else:
         new = L1 + dt * p.L_ramp
-    if new < L_floor:
-        new = L_floor
+    if new < p.L_floor:
+        new = p.L_floor
     return new
 
 
@@ -114,8 +113,7 @@ def stw_step(cell: AstwCellState, sigma: float, L1_fixed: float,
         raise ValueError("dt must be > 0")
     if L1_fixed <= 0.0 or L2_fixed <= 0.0:
         raise ValueError("fixed gains must be > 0")
-    _, nu_prev = cell
-    nu = nu_prev + dt * L2_fixed * sign(sigma)
+    nu = cell.nu + dt * L2_fixed * sign(sigma)
     mu = L1_fixed * sqrt_sign(sigma) + nu
     return mu, _new(AstwCellState, (L1_fixed, nu))
 

@@ -430,12 +430,9 @@ def pi_controllers(y: tuple[float, float, float, float],
 
     Returns the saturated control inputs and the updated integrator pair.
     """
-    _, _, y3, y4 = y
-    pos_setpoint, supply_setpoint = setpoints
-    i_pos, i_sup = integrators
-    u1, i_pos = _pi_clamped(pos_setpoint - y4, i_pos,
+    u1, i_pos = _pi_clamped(setpoints[0] - y[3], integrators[0],
                             gains.kp_pos, gains.ki_pos, dt, U1_RANGE)
-    u2, i_sup = _pi_clamped(supply_setpoint - y3, i_sup,
+    u2, i_sup = _pi_clamped(setpoints[1] - y[2], integrators[1],
                             gains.kp_supply, gains.ki_supply, dt, U2_RANGE)
     return _new(ControlInputs, (u1, u2)), (i_pos, i_sup)
 
@@ -464,35 +461,30 @@ def step_closed_loop(state: LoopState, scenario: Scenario, t: float,
     sc = scenario
     p = sc.plant
     x, obs, integrators, mu_eq1, mu_eq2, rho4_filt = state
-    _, x2, x3, x4, x5, _ = x
-    n1, n2, n3, n4 = noise_row
     dt = sc.dt
-    substeps = sc.substeps
     faults = sc.fault_inputs(t)
-    y4 = x5 + n4
-    y = (x2 + n1, x3 + n2, x4 + n3, y4)
+    y = (x.x2 + noise_row[0], x.x3 + noise_row[1],
+         x.x4 + noise_row[2], x.x5 + noise_row[3])
     setpoints = (sc.position_profile.setpoint(t), sc.supply_setpoint)
     u, integrators = pi_controllers(y, setpoints, sc.controller, integrators, dt)
     if obs is None:
         obs = init_observer(sc.observer, y)
-    obs_next, inj = observer_step(obs, y, u, p, sc.observer, dt, substeps)
+    obs_next, inj = observer_step(obs, y, u, p, sc.observer, dt, sc.substeps)
     sigma, mu, L1, L2 = inj
-    mu1, mu2, _, mu4 = mu
 
-    _, _, _, _, A1, A2, _, _, PT, _, V01, V02, beta, _, _ = p.loop_constants
     tau = sc.reconstruction_tau
-    mu_eq1 = lowpass_step(mu_eq1, mu1, dt, tau)
-    mu_eq2 = lowpass_step(mu_eq2, mu2, dt, tau)
-    rho4_filt = lowpass_step(rho4_filt, mu4, dt, tau)
-    f1_hat = mu_eq1 * (V01 + A1 * y4) / beta
-    f2_hat = mu_eq2 * (V02 - A2 * y4) / beta
+    mu_eq1 = lowpass_step(mu_eq1, mu[0], dt, tau)
+    mu_eq2 = lowpass_step(mu_eq2, mu[1], dt, tau)
+    rho4_filt = lowpass_step(rho4_filt, mu[3], dt, tau)
+    f1_hat = mu_eq1 * (p.V01 + p.A1 * y[3]) / p.beta
+    f2_hat = mu_eq2 * (p.V02 - p.A2 * y[3]) / p.beta
 
-    QL1, QL2 = leakage_flows(x2, x3, PT, faults)
+    QL1, QL2 = leakage_flows(x.x2, x.x3, p.P_T, faults)
     record = (t, *x, *y, *obs[:6], *sigma, *mu, *L1, *L2,
-              QL1, QL2, faults[3], f1_hat, f2_hat, rho4_filt, *u)
+              QL1, QL2, faults.f_d, f1_hat, f2_hat, rho4_filt, *u)
 
     if advance:
-        plant_next = advance_plant(x, u, faults, p, dt, substeps)
+        plant_next = advance_plant(x, u, faults, p, dt, sc.substeps)
         state_next = (*plant_next, *obs_next[:6])
         if not all(map(math.isfinite, state_next)):
             raise NumericalAbort(t, _first_non_finite((*x, *obs.estimates()), state_next))

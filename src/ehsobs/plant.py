@@ -18,7 +18,7 @@ operations are pure functions over value data.  Parameter blocks that a
 scenario file holds are frozen dataclasses, walked by the scenario codec;
 values built on every sample (`PlantState`, `FaultInputs`,
 `ControlInputs`) are NamedTuples, which the simulation loop builds with
-`tuple.__new__` and unpacks rather than reading by attribute.
+`tuple.__new__`, past their generated `__new__`.
 """
 
 from __future__ import annotations
@@ -126,10 +126,9 @@ _new = tuple.__new__  # builds a NamedTuple without its generated __new__ frame
 def leakage_flows(P1: float, P2: float, PT: float,
                   f: FaultInputs) -> tuple[float, float]:
     """Leakage flows into each chamber; the internal terms are equal and opposite."""
-    C_i, C_e1, C_e2, _, _ = f
-    internal = C_i * (P2 - P1)
-    QL1 = internal - C_e1 * (P1 - PT)
-    QL2 = -internal - C_e2 * (P2 - PT)
+    internal = f.C_i * (P2 - P1)
+    QL1 = internal - f.C_e1 * (P1 - PT)
+    QL2 = -internal - f.C_e2 * (P2 - PT)
     return QL1, QL2
 
 

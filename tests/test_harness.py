@@ -2,9 +2,6 @@ import hashlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 import threading
 import tracemalloc
@@ -749,26 +746,3 @@ def test_loop_values_keep_their_classes(kind, fault_scenario):
     _read_by_name_as_by_position(inj, ChannelInjections)
     plant = advance_plant(state.plant, u, faults, sc.plant, sc.dt, sc.substeps)
     _read_by_name_as_by_position(plant, PlantState)
-
-
-SCENARIO_DIGESTS = """
-import hashlib, sys
-from dataclasses import replace
-import ehsobs
-
-for name in sys.argv[1:]:
-    sc = replace(getattr(ehsobs, name + "_scenario")(), duration=0.5, faults=())
-    print(name, hashlib.sha256(ehsobs.run_scenario(sc).data.tobytes()).hexdigest())
-"""
-
-
-def test_scenarios_in_one_process_run_as_in_fresh_ones():
-    # nothing one scenario's run derives or caches reaches the next one's
-    def digests(*names: str) -> list[str]:
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", SCENARIO_DIGESTS, *names], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()
-
-    assert digests("default", "noisy") == digests("default") + digests("noisy")

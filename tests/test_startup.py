@@ -3,7 +3,8 @@
 The package, the scenario codec and the CLI's non-array paths never import
 numpy, hashlib or threading: the modules that use them bind them lazily and
 load them at first use.  Each case runs in a fresh interpreter, since this
-process has them loaded already.
+process has them loaded already; so does the check that a run leaves
+nothing behind that changes the next one.
 """
 
 import os
@@ -90,3 +91,22 @@ assert (SimTrace.read_csv("trace.csv").data == trace.data).all()
 """
     out = run_fresh(code, tmp_path)
     assert "same leak estimate: True" in out
+
+
+SCENARIO_DIGESTS = """
+import hashlib
+from dataclasses import replace
+import ehsobs
+
+for name in {names!r}:
+    sc = replace(getattr(ehsobs, name + "_scenario")(), duration=0.5, faults=())
+    print(name, hashlib.sha256(ehsobs.run_scenario(sc).data.tobytes()).hexdigest())
+"""
+
+
+def test_scenarios_in_one_process_run_as_in_fresh_ones(tmp_path):
+    # nothing one scenario's run derives or caches reaches the next one's
+    def digests(*names: str) -> list[str]:
+        return run_fresh(SCENARIO_DIGESTS.format(names=names), tmp_path).splitlines()
+
+    assert digests("default", "noisy") == digests("default") + digests("noisy")
