@@ -61,9 +61,8 @@ class PlantParams:
     A1: float = field(init=False, repr=False)  # piston-side area [m^2]
     A2: float = field(init=False, repr=False)  # rod-side annular area [m^2]
     kq: float = field(init=False, repr=False)  # orifice coefficient C_d*w*sqrt(2/rho)
-    # the constants advance_plant and observer_step read on every sample, read
-    # as one tuple: tau_v, K_v, tau_s, K_r, A1, A2, m, c, P_T, stroke, V01,
-    # V02, beta, kq, P_s_max
+    # the constants advance_plant and observer_step unpack on every sample, in
+    # the order __post_init__ builds them
     loop_constants: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
