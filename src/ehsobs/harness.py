@@ -47,7 +47,7 @@ from .reconstruction import lowpass_step
 
 np = LazyModule("numpy")
 hashlib = LazyModule("hashlib")
-threading = LazyModule("threading")
+futures = LazyModule("concurrent.futures")
 
 _new = tuple.__new__  # builds a NamedTuple without its generated __new__ frame
 
@@ -371,22 +371,12 @@ def _file_sha256(path) -> bytes:
     return digest.digest()
 
 
-def _sha256_into(path, out: list) -> None:
-    """Append the sha256 of the file at `path` to `out`, or what stopped it."""
-    try:
-        out.append(_file_sha256(path))
-    except Exception as exc:  # raised again on the reading thread
-        out.append(exc)
-
-
 def _read_sidecar(path) -> np.ndarray | None:
     """The array cached beside the CSV at `path`, or None unless the file is the
     head and whole rows of 41 columns, and both digests hold.  The CSV is hashed
-    on a second thread while this one loads and hashes the array: sha256, reads
+    on a worker thread while this one loads and hashes the array: sha256, reads
     and np.fromfile release the GIL."""
     n_cols = len(TRACE_COLUMNS)
-    csv_digest = []
-    worker = threading.Thread(target=_sha256_into, args=(path, csv_digest))
     try:
         with open(_sidecar_path(path), "rb") as fh:
             head = fh.read(_SIDECAR_HEAD)  # the magic, the CSV digest, the array digest
@@ -394,15 +384,11 @@ def _read_sidecar(path) -> np.ndarray | None:
             # a file shorter than the head leaves a rest; the CSV is hashed only behind this magic
             if rest or not head.startswith(SIDECAR_MAGIC):
                 return None
-            worker.start()
-            try:
+            with futures.ThreadPoolExecutor(1) as pool:  # leaving it joins the worker
+                csv_digest = pool.submit(_file_sha256, path)
                 columns = np.fromfile(fh, dtype=np.float64).reshape(n_cols, rows)
                 array_digest = hashlib.sha256(columns).digest()
-            finally:  # no worker outlives the read
-                worker.join()
-        (digest,) = csv_digest
-        if isinstance(digest, Exception):
-            raise digest
+        digest = csv_digest.result()  # raises what stopped the worker
     except (OSError, ValueError):  # missing, or changed while read
         return None
     if head != SIDECAR_MAGIC + digest + array_digest:

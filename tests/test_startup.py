@@ -1,10 +1,10 @@
 """Start-up without numpy.
 
 The package, the scenario codec and the CLI's non-array paths never import
-numpy, hashlib or threading: the modules that use them bind them lazily and
-load them at first use.  Each case runs in a fresh interpreter, since this
-process has them loaded already; so does the check that a run leaves
-nothing behind that changes the next one.
+numpy, hashlib, threading or concurrent.futures: the modules that use them
+bind them lazily and load them at first use.  Each case runs in a fresh
+interpreter, since this process has them loaded already; so does the check
+that a run leaves nothing behind that changes the next one.
 """
 
 import os
@@ -54,7 +54,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert main(["run", "--scenario", "bad.json", "--out", "out"]) == 2
     assert main(["compare", "--scenario", "bad.json", "--out", "out"]) == 2
     assert main(["report", "--trace", "none.csv", "--scenario", "bad.json"]) == 2
-assert not {{"numpy", "hashlib", "threading"}} & (sys.modules.keys() - before)
+lazy = {{"numpy", "hashlib", "threading", "concurrent.futures"}}
+assert not lazy & (sys.modules.keys() - before)
 print("ok")
 """
 
