@@ -210,24 +210,17 @@ def channel_metrics(t, e, *, window: tuple[float, float], dwell: int,
     )
 
 
-COMPARISON_ROWS = (("fosmo", "First-Order SM Obs."),
-                   ("stw", "Super-twisting Obs. (STW)"),
-                   ("astw", "Adaptive Super-twisting Obs. (ASTW)"))
-
-
-def comparison_table(reports: dict[str, MetricsReport],
-                     channels: tuple[str, ...] = ("e_y1", "e_y2")) -> str:
-    """Aligned plain-text comparison of observer variants, one block per channel."""
+def comparison_table(rows: dict[str, MetricsReport]) -> str:
+    """Aligned plain-text comparison of observer variants, one block per pressure
+    channel; `rows` maps each row's label to its report, in row order."""
     lines: list[str] = []
     header = f"{'Methodology':<38}{'||e||_1':>14}{'||e||_2':>14}{'||e||_inf':>14}{'rms':>14}"
-    for ch in channels:
+    for ch in ("e_y1", "e_y2"):
         lines.append(f"Comparison of {ch} observation errors")
         lines.append(header)
         lines.append("-" * len(header))
-        for kind, label in COMPARISON_ROWS:
-            if kind not in reports:
-                continue
-            m = reports[kind].channels[ch]
+        for label, report in rows.items():
+            m = report.channels[ch]
             lines.append(f"{label:<38}{m.l1:>14.5g}{m.l2:>14.5g}{m.linf:>14.5g}{m.rms:>14.5g}")
         lines.append("")
     return "\n".join(lines)

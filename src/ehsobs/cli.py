@@ -135,7 +135,8 @@ def _cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     reports = {kind: _run_kind(scenario, kind, args.seed, out / f"trace_{kind}.csv")
                for kind in OBSERVER_KINDS}
-    table = comparison_table(reports)
+    # baseline first: FOSMO, STW, ASTW
+    table = comparison_table({OBSERVER_KINDS[kind]: reports[kind] for kind in reversed(reports)})
     _write_output(out / "report.json",
                   json.dumps({k: asdict(r) for k, r in reports.items()}, indent=2) + "\n")
     _write_output(out / "report.txt", table)

@@ -22,7 +22,7 @@ injection record, built on every sample, are NamedTuples, which
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, is_dataclass
 from typing import NamedTuple
 
 from .cells import (
@@ -37,7 +37,10 @@ from .cells import (
 )
 from .plant import ControlInputs, DomainViolation, PlantParams
 
-OBSERVER_KINDS = ("astw", "stw", "fosmo")
+# kind -> its row label in `compare`'s table; `compare` runs the kinds in this order
+OBSERVER_KINDS = {"astw": "Adaptive Super-twisting Obs. (ASTW)",
+                  "stw": "Super-twisting Obs. (STW)",
+                  "fosmo": "First-Order SM Obs."}
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class ObserverConfig:
         block = getattr(self, self.kind)
         if block is None:
             raise ValueError(f"observer kind {self.kind!r} needs its parameter block")
-        if self.kind != "fosmo" and len(block) != 4:
+        if not is_dataclass(block) and len(block) != 4:  # per-channel entries, not one dataclass
             raise ValueError(f"{self.kind} block needs 4 channel entries")
 
     def epsilons(self) -> tuple[float, float, float, float] | None:

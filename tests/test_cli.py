@@ -212,8 +212,14 @@ def test_compare_emits_reports(short_scenario_file, tmp_path, capsys):
         assert (out / f"trace_{kind}.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert set(report) == {"astw", "stw", "fosmo"}
-    table = (out / "report.txt").read_text()
-    assert "Adaptive Super-twisting Obs. (ASTW)" in table
+    # each heading's rows run baseline first: FOSMO, STW, ASTW
+    blocks = (out / "report.txt").read_text().split("Comparison of ")[1:]
+    assert [block.split()[0] for block in blocks] == ["e_y1", "e_y2"]
+    for block in blocks:
+        rows = block.splitlines()[3:6]
+        assert [row[:38].rstrip() for row in rows] == [
+            "First-Order SM Obs.", "Super-twisting Obs. (STW)",
+            "Adaptive Super-twisting Obs. (ASTW)"]
     assert "Comparison of e_y1 observation errors" in capsys.readouterr().out
 
 

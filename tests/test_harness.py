@@ -629,6 +629,13 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.data, b.data)
 
 
+def test_noise_free_run_builds_no_generator():
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drawn")):
+        assert len(run_scenario(replace(nofault_scenario(), duration=0.05))) == 51
+        with pytest.raises(AssertionError, match="drawn"):
+            run_scenario(replace(noisy_scenario(), duration=0.05, faults=()))
+
+
 @pytest.mark.parametrize("n", [1, NOISE_BLOCK, NOISE_BLOCK + 1, 3 * NOISE_BLOCK - 5])
 def test_noise_blocks_equal_one_draw(n):
     std = np.array(astuple(noisy_scenario().noise_std))

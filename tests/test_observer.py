@@ -80,6 +80,8 @@ def test_config_requires_matching_parameter_block():
         ObserverConfig(kind="stw")
     with pytest.raises(ValueError):
         ObserverConfig(kind="nope")
+    with pytest.raises(ValueError, match="4 channel entries"):
+        ObserverConfig(kind="stw", stw=default_scenario().observer.stw[:3])
     ObserverConfig(kind="fosmo",
                    fosmo=FosmoGains(rho=(1.0, 1.0, 1.0, 1.0), rho4_vel=1.0))
 
