@@ -1,5 +1,5 @@
 """A stand-in for a module, imported at its first attribute read, so importing
-ehsobs, reading a scenario or `check-gains` loads neither numpy nor hashlib."""
+ehsobs, reading a scenario or `check-gains` loads neither numpy nor zlib."""
 
 import importlib
 

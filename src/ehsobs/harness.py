@@ -46,8 +46,7 @@ from .plant import (
 from .reconstruction import lowpass_step
 
 np = LazyModule("numpy")
-hashlib = LazyModule("hashlib")
-futures = LazyModule("concurrent.futures")
+zlib = LazyModule("zlib")
 
 _new = tuple.__new__  # builds a NamedTuple without its generated __new__ frame
 
@@ -279,8 +278,8 @@ class SimTrace:
         data = np.asarray(self.data, dtype=np.float64)
         _remove_old(_sidecar_path(path))  # first, so no stale sidecar sits beside the new CSV
         _remove_old(path)
-        csv_digest = textfmt.write_csv(path, data, header=",".join(TRACE_COLUMNS))
-        _write_sidecar(path, data, csv_digest)
+        csv_crc = textfmt.write_csv(path, data, header=",".join(TRACE_COLUMNS))
+        _write_sidecar(path, data, csv_crc)
 
     @classmethod
     def read_csv(cls, path) -> "SimTrace":
@@ -321,16 +320,18 @@ def _check_rows(path, data: np.ndarray) -> None:
 
 # --- trace sidecar -----------------------------------------------------------
 # `<trace>.csv.f64` caches the parsed trace beside its CSV, as a hash-checked
-# .pyc caches a module: the magic, the sha256 of the CSV bytes, the sha256 of
-# the array bytes, then the float64 columns in order, so every column a report
-# reads is contiguous.  The file size gives the row count.  The CSV stays
-# authoritative; the sidecar is used only while both digests hold, so a CSV
-# edited, replaced or truncated after the write is parsed again, and so is a
-# sidecar of another version.
+# .pyc caches a module: the magic, the CRC-32 of the CSV bytes and the CRC-32
+# of the array bytes as little-endian uint32, then the float64 columns in
+# order, so every column a report reads is contiguous.  The file size gives
+# the row count.  The CSV stays authoritative; the sidecar is used only while
+# both checksums hold, so a CSV edited, replaced or truncated after the write
+# is parsed again, and so is a sidecar of another version.  The checksums sit
+# beside the bytes they cover: they catch accidental damage, not forgery.
 
-SIDECAR_MAGIC = b"EHSOBS\x00\x03"  # format name and version
-_SIDECAR_HEAD = len(SIDECAR_MAGIC) + 2 * 32  # and the two sha256 digests
-_CSV_BLOCK = 1 << 18  # the CSV is hashed in blocks, never held whole
+SIDECAR_MAGIC = b"EHSOBS\x00\x04"  # format name and version
+_SIDECAR_CRCS = struct.Struct("<2I")  # the CSV's CRC-32, the array's CRC-32
+_SIDECAR_HEAD = len(SIDECAR_MAGIC) + _SIDECAR_CRCS.size
+_CSV_BLOCK = 1 << 18  # the CSV is checked in blocks, never held whole
 
 
 def _remove_old(path) -> None:
@@ -345,53 +346,48 @@ def _sidecar_path(path) -> str:
     return os.fspath(path) + ".f64"
 
 
-def _write_sidecar(path, data: np.ndarray, csv_digest: bytes) -> None:
-    """Cache float64 `data` column by column beside the CSV whose bytes hash to `csv_digest`."""
-    digest = hashlib.sha256()
+def _write_sidecar(path, data: np.ndarray, csv_crc: int) -> None:
+    """Cache float64 `data` column by column beside the CSV whose bytes have CRC-32 `csv_crc`."""
+    crc = 0
     with open(_sidecar_path(path), "wb") as fh:
-        # the array digest goes in last: a write cut short leaves zeros, which never match
-        fh.write(SIDECAR_MAGIC + csv_digest + bytes(32))
+        # the checksums go in last: a write cut short leaves them zero, which the
+        # CRC-32 of a CSV (never empty) matches with probability 2**-32
+        fh.write(SIDECAR_MAGIC + bytes(_SIDECAR_CRCS.size))
         for column in data.T:  # one column copied at a time, never the whole array
             column = np.ascontiguousarray(column)
-            digest.update(column)
+            crc = zlib.crc32(column, crc)
             fh.write(column)
-        fh.seek(_SIDECAR_HEAD - 32)
-        fh.write(digest.digest())
+        fh.seek(len(SIDECAR_MAGIC))
+        fh.write(_SIDECAR_CRCS.pack(csv_crc, crc))
 
 
-def _file_sha256(path) -> bytes:
-    """sha256 of the file at `path`, read in blocks of _CSV_BLOCK bytes into one
-    buffer, which stays alive while the reading thread loads the array."""
-    digest = hashlib.sha256()
+def _file_crc32(path) -> int:
+    """CRC-32 of the file at `path`, read in blocks of _CSV_BLOCK bytes into one buffer."""
+    crc = 0
     block = bytearray(_CSV_BLOCK)
     view = memoryview(block)
     with open(path, "rb") as fh:
         while size := fh.readinto(block):
-            digest.update(view[:size])
-    return digest.digest()
+            crc = zlib.crc32(view[:size], crc)
+    return crc
 
 
 def _read_sidecar(path) -> np.ndarray | None:
     """The array cached beside the CSV at `path`, or None unless the file is the
-    head and whole rows of 41 columns, and both digests hold.  The CSV is hashed
-    on a worker thread while this one loads and hashes the array: sha256, reads
-    and np.fromfile release the GIL."""
+    head and whole rows of 41 columns, and both checksums hold."""
     n_cols = len(TRACE_COLUMNS)
     try:
         with open(_sidecar_path(path), "rb") as fh:
-            head = fh.read(_SIDECAR_HEAD)  # the magic, the CSV digest, the array digest
+            head = fh.read(_SIDECAR_HEAD)  # the magic, the CSV's CRC, the array's CRC
             rows, rest = divmod(os.fstat(fh.fileno()).st_size - _SIDECAR_HEAD, n_cols * 8)
-            # a file shorter than the head leaves a rest; the CSV is hashed only behind this magic
+            # a file shorter than the head leaves a rest; the CSV is read only behind this magic
             if rest or not head.startswith(SIDECAR_MAGIC):
                 return None
-            with futures.ThreadPoolExecutor(1) as pool:  # leaving it joins the worker
-                csv_digest = pool.submit(_file_sha256, path)
-                columns = np.fromfile(fh, dtype=np.float64).reshape(n_cols, rows)
-                array_digest = hashlib.sha256(columns).digest()
-        digest = csv_digest.result()  # raises what stopped the worker
+            columns = np.fromfile(fh, dtype=np.float64).reshape(n_cols, rows)
+        crcs = _SIDECAR_CRCS.pack(_file_crc32(path), zlib.crc32(columns))
     except (OSError, ValueError):  # missing, or changed while read
         return None
-    if head != SIDECAR_MAGIC + digest + array_digest:
+    if head != SIDECAR_MAGIC + crcs:
         return None
     return columns.T
 

@@ -520,6 +520,14 @@ def _csv_rewritten(path, sidecar: bytes) -> bytes:
     return sidecar
 
 
+def _csv_sha256() -> bytes:
+    """The sha256 of the CSV that the fault cases write, which versions 1-3 stored."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        SimTrace(data=_short_data()).write_csv(path)
+        return hashlib.sha256(path.read_bytes()).digest()
+
+
 def _npy_sidecar(version: int, sidecar: bytes) -> bytes:
     """A valid sidecar of an earlier version, behind its magic and both digests:
     the CSV's array as an .npy stream, row-major in version 1 and column-major
@@ -529,8 +537,16 @@ def _npy_sidecar(version: int, sidecar: bytes) -> bytes:
         data = np.asfortranarray(data)
     npy = io.BytesIO()
     np.lib.format.write_array(npy, data)
-    return (b"EHSOBS\x00" + bytes([version]) + sidecar[8:40]
+    return (b"EHSOBS\x00" + bytes([version]) + _csv_sha256()
             + hashlib.sha256(data.tobytes(order="A")).digest() + npy.getvalue())
+
+
+def _v3_sidecar(path, sidecar: bytes) -> bytes:
+    """A valid version-3 sidecar: the magic, the sha256 of the CSV, the sha256
+    of the columns, then the float64 columns in order."""
+    columns = _short_data().tobytes(order="F")
+    return (b"EHSOBS\x00\x03" + _csv_sha256() + hashlib.sha256(columns).digest()
+            + columns)
 
 
 # Each maps (CSV path, sidecar bytes) to the sidecar's new bytes, or None to delete it.
@@ -538,13 +554,17 @@ SIDECAR_FAULTS = {
     "missing": lambda path, sidecar: None,
     "cut-in-magic": lambda path, sidecar: sidecar[:4],
     "cut-in-digests": lambda path, sidecar: sidecar[:40],
+    "cut-in-checksums": lambda path, sidecar: sidecar[:12],
     "cut-in-data": lambda path, sidecar: sidecar[:-8],
     "cut-by-a-row": lambda path, sidecar: sidecar[:-41 * 8],  # whole rows, a stale digest
     "data-byte-flipped": lambda path, sidecar: sidecar[:-1] + bytes([sidecar[-1] ^ 1]),
+    "csv-checksum-flipped": lambda path, sidecar: (sidecar[:8] + bytes([sidecar[8] ^ 1])
+                                                   + sidecar[9:]),
     "from-another-trace": _sidecar_of_another_trace,
     "csv-rewritten": _csv_rewritten,
     "version-1-sidecar": lambda path, sidecar: _npy_sidecar(1, sidecar),
     "version-2-sidecar": lambda path, sidecar: _npy_sidecar(2, sidecar),
+    "version-3-sidecar": _v3_sidecar,
 }
 
 
@@ -564,7 +584,7 @@ def test_sidecar_fault_falls_back_to_csv_parse(case, tmp_path):
 
 
 def test_csv_hash_error_falls_back_to_csv_parse(tmp_path, monkeypatch):
-    """An OSError while the CSV is hashed, on the worker thread, is a sidecar miss."""
+    """An OSError while the CSV is hashed is a sidecar miss."""
     path = tmp_path / "trace.csv"
     SimTrace(data=_short_data()).write_csv(path)
     cached = _read(path, parsed=False)
@@ -572,7 +592,7 @@ def test_csv_hash_error_falls_back_to_csv_parse(tmp_path, monkeypatch):
     def unreadable(path):
         raise OSError("read error")
 
-    monkeypatch.setattr("ehsobs.harness._file_sha256", unreadable)
+    monkeypatch.setattr("ehsobs.harness._file_crc32", unreadable)
     _assert_same_read(_read(path, parsed=True), cached)
 
 

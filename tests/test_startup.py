@@ -1,8 +1,10 @@
 """Start-up without numpy.
 
 The package, the scenario codec and the CLI's non-array paths never import
-numpy, hashlib, threading or concurrent.futures: the modules that use them
-bind them lazily and load them at first use.  Each case runs in a fresh
+numpy, zlib, hashlib, threading or concurrent.futures: the modules that use
+them bind them lazily and load them at first use (argparse loads zlib for
+the CLI).  A report read from a trace sidecar loads neither hashlib nor a
+thread pool.  Each case runs in a fresh
 interpreter, since this process has them loaded already; so does the check
 that a run leaves nothing behind that changes the next one.
 """
@@ -11,12 +13,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from ehsobs.harness import SimTrace
+from ehsobs.harness import SimTrace, nofault_scenario, run_scenario
 from ehsobs.reconstruction import FaultEstimate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +46,8 @@ for path in sorted(Path({str(ROOT / "scenarios")!r}).glob("*.json")):
     ehsobs.write_scenario(sc, "copy.json")
     assert ehsobs.read_scenario("copy.json") == sc, path
 typing.get_type_hints(ehsobs.Scenario)
+lazy = {{"numpy", "hashlib", "threading", "concurrent.futures", "zlib"}}
+assert not lazy & (sys.modules.keys() - before)
 
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
@@ -54,7 +59,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert main(["run", "--scenario", "bad.json", "--out", "out"]) == 2
     assert main(["compare", "--scenario", "bad.json", "--out", "out"]) == 2
     assert main(["report", "--trace", "none.csv", "--scenario", "bad.json"]) == 2
-lazy = {{"numpy", "hashlib", "threading", "concurrent.futures"}}
+lazy.remove("zlib")  # argparse's help formatter imports shutil, which imports zlib
 assert not lazy & (sys.modules.keys() - before)
 print("ok")
 """
@@ -65,6 +70,28 @@ def test_non_array_paths_never_import_numpy(tmp_path):
     assert run_fresh(NON_ARRAY_PATHS, tmp_path) == "ok\n"
     # without site, whose .pth files may import threading before the baseline
     assert run_fresh(NON_ARRAY_PATHS, tmp_path, "-S") == "ok\n"
+
+
+REPORT_FROM_SIDECAR = f"""
+import sys
+import numpy as np
+
+def parse(*args, **kwargs):
+    raise AssertionError("the CSV was parsed, not read from its sidecar")
+
+np.loadtxt = parse
+before = set(sys.modules)
+from ehsobs.cli import main
+
+assert main(["report", "--trace", "trace.csv", "--scenario",
+             {str(ROOT / "scenarios" / "nofault.json")!r}, "--out", "report.json"]) == 0
+print(sorted({{"hashlib", "concurrent.futures", "logging"}} & (sys.modules.keys() - before)))
+"""
+
+
+def test_report_from_sidecar_loads_no_hash_or_thread_pool(tmp_path):
+    run_scenario(replace(nofault_scenario(), duration=0.05)).write_csv(tmp_path / "trace.csv")
+    assert run_fresh(REPORT_FROM_SIDECAR, tmp_path) == "wrote report.json\n[]\n"
 
 
 def test_array_annotations_resolve():
