@@ -1,5 +1,6 @@
 """A stand-in for a module, imported at its first attribute read, so importing
-ehsobs, reading a scenario or `check-gains` loads neither numpy nor zlib."""
+ehsobs or reading a scenario loads neither numpy nor zlib, and `check-gains`
+loads no numpy."""
 
 import importlib
 

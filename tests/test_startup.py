@@ -4,9 +4,9 @@ The package, the scenario codec and the CLI's non-array paths never import
 numpy, zlib, hashlib, threading or concurrent.futures: the modules that use
 them bind them lazily and load them at first use (argparse loads zlib for
 the CLI).  A report read from a trace sidecar loads neither hashlib nor a
-thread pool.  Each case runs in a fresh
-interpreter, since this process has them loaded already; so does the check
-that a run leaves nothing behind that changes the next one.
+thread pool.  Each case runs in a fresh interpreter, since this process has
+them loaded already; so does the check that a run leaves nothing behind
+that changes the next one.
 """
 
 import os
