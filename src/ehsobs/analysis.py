@@ -54,14 +54,6 @@ class LyapunovCheck:
     gamma: float
     T_r_bound: float | None
 
-    @property
-    def P_positive_definite(self) -> bool:
-        return self.lambda_min_P > 0.0
-
-    @property
-    def Omega_positive_definite(self) -> bool:
-        return self.lambda_min_Omega > 0.0
-
 
 def lyapunov_matrices(L1: float, lambda1: float, lambda2: float,
                       delta1: float = 0.0, delta2: float = 0.0,

@@ -59,6 +59,9 @@ U2_RANGE = (0.0, 5.0)
 # noise rows, so this ceiling (2.8 h of simulated time at 1 ms) bounds a run
 # at ~3.3 GB.
 MAX_RECORDS = 10**7
+# Each sample advances the observer and the plant `substeps` times, about 1 us
+# per sub-step on a 2-vCPU x86-64 host, so this ceiling bounds a run at ~17 min.
+MAX_SUBSTEPS = 10**9  # n_records * substeps
 NOISE_BLOCK = 1024  # noise rows drawn, and held as Python floats, at a time
 
 
@@ -209,6 +212,10 @@ class Scenario:
                                   f"2*pi*f*t at the last sample t = {t_last:.9g} s")
         if self.substeps < 1:
             raise ConfigError("substeps must be >= 1")
+        if self.n_records() * self.substeps > MAX_SUBSTEPS:
+            raise ConfigError(f"{self.n_records()} records x {self.substeps} substeps gives "
+                              f"{self.n_records() * self.substeps} sub-steps, more than "
+                              f"the {MAX_SUBSTEPS} a run may take")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for i, fw in enumerate(self.faults):

@@ -82,12 +82,6 @@ class FaultEstimate:
     rho4_hat: np.ndarray
     valid_from: dict[str, float | None]
 
-    def valid_mask(self, which: str) -> np.ndarray:
-        onset = self.valid_from[which]
-        if onset is None:
-            return np.zeros_like(self.t, dtype=bool)
-        return self.t >= onset
-
 
 def estimate_faults(trace, scenario) -> FaultEstimate:
     """Offline reconstruction over a logged trace (a SimTrace or any mapping

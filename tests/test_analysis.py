@@ -31,14 +31,14 @@ def test_quadratic_form_matrix():
     chk = lyapunov_matrices(L1=10.0, lambda1=1.0, lambda2=1.0)
     assert chk.P == ((6.0, -2.0), (-2.0, 1.0))
     assert chk.lambda_min_P * chk.lambda_max_P == pytest.approx(2.0, rel=1e-12)  # det
-    assert chk.P_positive_definite
+    assert chk.lambda_min_P > 0.0
 
 
 def test_decay_matrix_and_its_smallest_eigenvalue():
     chk = lyapunov_matrices(L1=10.0, lambda1=1.0, lambda2=1.0)
     assert chk.Omega == ((20.0, -3.0), (-3.0, 2.0))
     assert chk.lambda_min_Omega == pytest.approx(1.5132, rel=1e-3)
-    assert chk.Omega_positive_definite
+    assert chk.lambda_min_Omega > 0.0
 
 
 def test_reach_time_bound_formula():

@@ -23,6 +23,7 @@ from ehsobs.harness import (
     InitialPlantState,
     LoopState,
     MAX_RECORDS,
+    MAX_SUBSTEPS,
     NOISE_BLOCK,
     NoiseStd,
     NumericalAbort,
@@ -170,6 +171,18 @@ def test_record_count_ceiling():
     assert at_ceiling.n_records() == MAX_RECORDS
     with pytest.raises(ConfigError, match=f"gives {MAX_RECORDS + 1} records"):
         replace(default_scenario(), duration=MAX_RECORDS * 1e-3)
+
+
+def test_substep_ceiling():
+    # construct only: a run over the ceiling would take hours, or never end
+    n = default_scenario().n_records()
+    at_ceiling = replace(default_scenario(), substeps=MAX_SUBSTEPS // n)
+    assert at_ceiling.n_records() * at_ceiling.substeps <= MAX_SUBSTEPS
+    over = MAX_SUBSTEPS // n + 1
+    with pytest.raises(ConfigError, match=f"{n * over} sub-steps, more than the {MAX_SUBSTEPS}"):
+        replace(default_scenario(), substeps=over)
+    with pytest.raises(ConfigError, match=f"{n} records x {10**20} substeps"):
+        replace(default_scenario(), substeps=10**20)
 
 
 @pytest.mark.parametrize("build", [
@@ -380,6 +393,9 @@ EDGE_VALUES = (
     1e100, -1e-100,
     5e-324, 1.7976931348623157e308,  # smallest subnormal, largest double
     1e-280, 1e280, 0.1, 0.5, 1.0, -0.0, 0.0, math.nan, math.inf, -math.inf,
+    # one ulp inside and outside textfmt's FAST_MIN and FAST_MAX: block path or Python's
+    np.nextafter(1e-280, 1.0), np.nextafter(1e-280, 0.0),
+    np.nextafter(1e280, 0.0), np.nextafter(1e280, math.inf),
 )
 
 

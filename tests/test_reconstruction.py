@@ -108,7 +108,6 @@ def test_estimate_faults_pipeline_matches_online_columns(trace_fixture, request)
     assert np.array_equal(est.rho4_hat, trace["rho4_hat"])
     if trace_fixture == "fault_trace":
         assert est.valid_from["f1"] == 0.0
-        assert est.valid_mask("f1").all()
 
 
 def test_estimate_faults_without_dead_bands(fault_trace, fault_scenario):
@@ -116,7 +115,6 @@ def test_estimate_faults_without_dead_bands(fault_trace, fault_scenario):
                                                   kind="stw", astw=None))
     est = estimate_faults(fault_trace, sc)
     assert est.valid_from == {"f1": None, "f2": None, "rho4": None}
-    assert not est.valid_mask("rho4").any()
 
 
 @pytest.mark.parametrize("kind", ["stw", "fosmo"])
