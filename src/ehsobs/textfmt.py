@@ -119,9 +119,11 @@ def _format_block(v, tables, field_t, field) -> np.ndarray:
     n = v.size
     a = np.abs(v)
     fast = (a >= FAST_MIN) & (a <= FAST_MAX)  # False for NaN
-    digits, expo, certified = _digits(np.where(fast, a, 1.0), powers)
-    digits *= fast  # zeros keep D = 0, e = 0
-    expo *= fast
+    fast_idx = np.flatnonzero(fast)
+    d, e, certified = _digits(a[fast_idx], powers)
+    digits = np.zeros(n, dtype=np.int64)  # zeros keep D = 0, e = 0
+    expo = np.zeros(n, dtype=np.int64)
+    digits[fast_idx], expo[fast_idx] = d, e
 
     # ext holds one value per column: rows '0000', the leading digit, four 4-digit groups
     groups = np.empty((4, n), dtype=np.int64)
@@ -160,7 +162,9 @@ def _format_block(v, tables, field_t, field) -> np.ndarray:
     np.take(exp_text, np.where(sci, expo - _E_MIN, -1), axis=1, out=field_t[_EXP:_SEP])
     field[...] = field_t.T
 
-    fall_idx = np.flatnonzero(~(fast & certified) & (a != 0.0))  # NaN != 0, so it falls back
+    fall = ~fast & (a != 0.0)  # NaN != 0, so it falls back
+    fall[fast_idx[~certified]] = True
+    fall_idx = np.flatnonzero(fall)
     if fall_idx.size:  # Python's own formatting, spliced in
         texts = b"".join(("%.17g" % x).encode().ljust(_SEP, b"\0")
                          for x in v[fall_idx].tolist())
