@@ -47,6 +47,9 @@ EXIT_NUMERIC = 3
 
 
 DEFAULT_WINDOW = (10.0, 30.0)  # [s]
+# the trace columns trace_metrics reads, and all that `report` keeps
+METRIC_COLUMNS = ("t", "sigma1", "sigma2", "sigma3", "sigma4", "x1", "z1_hat",
+                  "x6", "z2_hat", "L1_1", "L1_2", "L1_3", "L1_4")
 
 
 def trace_metrics(trace: SimTrace, window=DEFAULT_WINDOW,
@@ -178,7 +181,7 @@ def _cmd_report(args) -> int:
     eps = None
     if args.scenario is not None:  # read before the trace: a bad scenario fails fast
         eps = read_scenario(args.scenario).observer.epsilons()
-    trace = SimTrace.read_csv(args.trace)
+    trace = SimTrace.read_csv(args.trace, columns=METRIC_COLUMNS)
     if len(trace) < 2:
         raise ConfigError(f"{args.trace}: a report needs >= 2 samples, got {len(trace)}")
     if window is None:

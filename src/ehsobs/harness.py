@@ -263,14 +263,18 @@ _RECORD = struct.Struct(f"{len(TRACE_COLUMNS)}d")  # one row of native float64, 
 
 @dataclass
 class SimTrace:
-    """Columnar run log: one row per sample, columns per TRACE_COLUMNS."""
+    """Columnar run log: one row per sample, one column per name in `columns`.
+    A run logs all of TRACE_COLUMNS; a read may keep fewer."""
 
-    data: np.ndarray  # shape (n_records, len(TRACE_COLUMNS))
+    data: np.ndarray  # shape (n_records, len(columns))
+    columns: tuple[str, ...] = TRACE_COLUMNS
 
     def __post_init__(self) -> None:
-        if self.data.ndim != 2 or self.data.shape[1] != len(TRACE_COLUMNS):
+        self.columns = tuple(self.columns)
+        _positions(self.columns)
+        self._index = {name: i for i, name in enumerate(self.columns)}
+        if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("trace data must be (n, n_columns)")
-        self._index = {name: i for i, name in enumerate(TRACE_COLUMNS)}
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -282,6 +286,8 @@ class SimTrace:
         """Write the CSV at `path`, then the sidecar that lets read_csv skip parsing it."""
         from . import textfmt
 
+        if self.columns != TRACE_COLUMNS:
+            raise ValueError("only a trace of all TRACE_COLUMNS, in order, can be written")
         data = np.asarray(self.data, dtype=np.float64)
         _remove_old(_sidecar_path(path))  # first, so no stale sidecar sits beside the new CSV
         _remove_old(path)
@@ -289,40 +295,77 @@ class SimTrace:
         _write_sidecar(path, data, csv_crc)
 
     @classmethod
-    def read_csv(cls, path) -> "SimTrace":
+    def read_csv(cls, path, columns: tuple[str, ...] = TRACE_COLUMNS) -> "SimTrace":
+        """The trace at `path`, keeping the named `columns`.  Every column is
+        checked, kept or not, so the errors do not depend on `columns`."""
+        keep = _positions(columns)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 header = fh.readline().strip()
                 if header.split(",") != list(TRACE_COLUMNS):
                     raise ConfigError(f"{path}: trace header does not match the fixed schema")
-                data = _read_sidecar(path)
+                data = _read_sidecar(path, keep)
                 if data is None:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", UserWarning)  # no rows: rejected below
-                        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                        parsed = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ConfigError:  # a ValueError too; pass it through unwrapped
             raise
         except OSError as exc:
             raise ConfigError(f"cannot read trace file: {exc}") from exc
         except ValueError as exc:  # ragged rows, non-numeric cells, undecodable bytes
             raise ConfigError(f"{path}: malformed trace: {exc}") from exc
-        _check_rows(path, data)
-        return cls(data=data)
+        if data is None:
+            _check_rows(path, parsed)
+            data = parsed if keep == _ALL else parsed[:, list(keep)]
+        return cls(data=data, columns=columns)
+
+
+def _positions(columns) -> tuple[int, ...]:
+    """The TRACE_COLUMNS index of each name in `columns`, which must be distinct."""
+    if len(set(columns)) != len(columns) or not set(columns) <= set(TRACE_COLUMNS):
+        raise ValueError(f"trace columns must be distinct names from TRACE_COLUMNS, "
+                         f"got {columns!r}")
+    return tuple(TRACE_COLUMNS.index(name) for name in columns)
+
+
+_ALL = tuple(range(len(TRACE_COLUMNS)))
 
 
 def _check_rows(path, data: np.ndarray) -> None:
-    """The rules a read trace must meet, whether parsed or loaded from its sidecar."""
+    """The rules a parsed trace must meet; a sidecar read checks them as it streams."""
     if data.shape[0] == 0 or data.shape[1] != len(TRACE_COLUMNS):
-        raise ConfigError(f"{path}: no rows of {len(TRACE_COLUMNS)} columns")
+        _raise_first(path, 0, None, None)  # no rows, or rows of another width
+    bad = None
     if not np.isfinite(data).all():
         row, col = np.argwhere(~np.isfinite(data))[0]
-        raise ConfigError(f"{path}: non-finite value {data[row, col]} in column "
+        bad = (row, col, data[row, col])
+    _raise_first(path, len(data), bad, None if bad else _first_stall(data[:, 0]))
+
+
+def _first_stall(t: np.ndarray):
+    """(row, t[row], t[row - 1]) at the first row where finite `t` does not increase, or None."""
+    stalls = np.flatnonzero(t[1:] <= t[:-1])
+    if not stalls.size:
+        return None
+    row = stalls[0] + 1
+    return row, t[row], t[row - 1]
+
+
+def _raise_first(path, rows: int, bad, stall) -> None:
+    """Raise for a read trace of `rows` rows whose first non-finite cell in
+    row-major order is `bad` (row, column, value) and whose first stall in
+    `t` is `stall` (see _first_stall); either may be None."""
+    if rows == 0:
+        raise ConfigError(f"{path}: no rows of {len(TRACE_COLUMNS)} columns")
+    if bad is not None:
+        row, col, value = bad
+        raise ConfigError(f"{path}: non-finite value {value} in column "
                           f"'{TRACE_COLUMNS[col]}' on line {row + 2}")
-    stalls = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
-    if stalls.size:
-        row = stalls[0] + 1
+    if stall is not None:
+        row, t, before = stall
         raise ConfigError(f"{path}: column 't' does not increase on line {row + 2} "
-                          f"({data[row, 0]} after {data[row - 1, 0]})")
+                          f"({t} after {before})")
 
 
 # --- trace sidecar -----------------------------------------------------------
@@ -339,6 +382,8 @@ SIDECAR_MAGIC = b"EHSOBS\x00\x04"  # format name and version
 _SIDECAR_CRCS = struct.Struct("<2I")  # the CSV's CRC-32, the array's CRC-32
 _SIDECAR_HEAD = len(SIDECAR_MAGIC) + _SIDECAR_CRCS.size
 _CSV_BLOCK = 1 << 18  # the CSV is checked in blocks, never held whole
+# a CSV row holds at least 41 one-character cells, 40 commas and a newline
+_MIN_ROW_BYTES = 2 * len(TRACE_COLUMNS)
 
 
 def _remove_old(path) -> None:
@@ -379,24 +424,50 @@ def _file_crc32(path) -> int:
     return crc
 
 
-def _read_sidecar(path) -> np.ndarray | None:
-    """The array cached beside the CSV at `path`, or None unless the file is the
-    head and whole rows of 41 columns, and both checksums hold."""
+def _read_sidecar(path, keep: tuple[int, ...] = _ALL) -> np.ndarray | None:
+    """Columns `keep` (TRACE_COLUMNS indices) of the array cached beside the CSV
+    at `path`, or None unless the file is the head and whole rows of 41 columns,
+    no more rows than the CSV can hold, and both checksums hold.
+
+    The columns are streamed one at a time, each into its row of one (k, n)
+    block or, if it is not kept, into one reused scratch column; each is
+    folded into the CRC-32 and checked for finiteness as it passes, so the
+    whole array is never held.  A failed check raises once both checksums
+    hold, with the text _check_rows gives for the parsed CSV.
+    """
     n_cols = len(TRACE_COLUMNS)
     try:
         with open(_sidecar_path(path), "rb") as fh:
             head = fh.read(_SIDECAR_HEAD)  # the magic, the CSV's CRC, the array's CRC
             rows, rest = divmod(os.fstat(fh.fileno()).st_size - _SIDECAR_HEAD, n_cols * 8)
-            # a file shorter than the head leaves a rest; the CSV is read only behind this magic
-            if rest or not head.startswith(SIDECAR_MAGIC):
+            # a file shorter than the head leaves a rest; the CSV is read only behind this magic,
+            # and nothing is allocated for more rows than the CSV holds
+            if (rest or not head.startswith(SIDECAR_MAGIC)
+                    or rows * _MIN_ROW_BYTES > os.path.getsize(path)):
                 return None
-            columns = np.fromfile(fh, dtype=np.float64).reshape(n_cols, rows)
-        crcs = _SIDECAR_CRCS.pack(_file_crc32(path), zlib.crc32(columns))
-    except (OSError, ValueError):  # missing, or changed while read
+            csv_crc = _file_crc32(path)  # its block is freed before the columns' is made
+            block = np.empty((len(keep), rows))
+            into = dict(zip(keep, block))
+            scratch = np.empty(rows) if len(keep) < n_cols else None
+            finite = np.empty(rows, dtype=bool)
+            crc, bad, stall = 0, None, None
+            for col in range(n_cols):
+                column = into.get(col, scratch)
+                if fh.readinto(column) != column.nbytes:
+                    return None  # changed while read
+                crc = zlib.crc32(column, crc)
+                if not np.isfinite(column, out=finite).all():
+                    row = int(finite.argmin())
+                    if bad is None or row < bad[0]:
+                        bad = (row, col, column[row])
+                elif col == 0:
+                    stall = _first_stall(column)
+    except OSError:  # missing, or unreadable
         return None
-    if head != SIDECAR_MAGIC + crcs:
+    if head != SIDECAR_MAGIC + _SIDECAR_CRCS.pack(csv_crc, crc):
         return None
-    return columns.T
+    _raise_first(path, rows, bad, None if bad else stall)
+    return block.T
 
 
 def _pi_clamped(e: float, i_prev: float, kp: float, ki: float, dt: float,

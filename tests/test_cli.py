@@ -1,13 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import ehsobs
 from ehsobs.analysis import ChannelMetrics
-from ehsobs.cli import main, trace_metrics
+from ehsobs.cli import METRIC_COLUMNS, main, trace_metrics
 from ehsobs.harness import (
+    TRACE_COLUMNS,
     SimTrace,
     default_scenario,
     nofault_scenario,
@@ -429,3 +437,91 @@ def test_trace_metrics_channels(nofault_trace, fault_scenario):
     assert m.reach_time == 0.0
     assert m.gain_peak is not None and m.gain_peak > 0.0
     assert report.channels["e_z1"].reach_time is None
+
+
+def test_trace_metrics_reads_only_the_metric_columns(nofault_trace, fault_scenario):
+    keep = [TRACE_COLUMNS.index(name) for name in METRIC_COLUMNS]
+    narrow = SimTrace(data=nofault_trace.data[:, keep], columns=METRIC_COLUMNS)
+    eps = fault_scenario.observer.epsilons()
+    assert (asdict(trace_metrics(narrow, epsilons=eps, dwell=100))
+            == asdict(trace_metrics(nofault_trace, epsilons=eps, dwell=100)))
+
+
+# NaN cells (column, line) of a trace written with a valid sidecar -> the cell the error names
+STREAMED_CHECKS = {
+    "dropped-column": ((("QL1_true", 5),), ("QL1_true", 5)),
+    "kept-then-dropped": ((("sigma1", 9), ("QL2_true", 4)), ("QL2_true", 4)),
+    "dropped-then-kept": ((("mu3", 9), ("x6", 4)), ("x6", 4)),
+    "one-line": ((("u2", 6), ("QL1_true", 6), ("L1_4", 6)), ("L1_4", 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAMED_CHECKS))
+def test_report_checks_every_column_of_the_sidecar(case, nofault_trace, tmp_path, capsys):
+    """A report keeps 13 columns but checks all 41 as the sidecar streams past,
+    and names the first bad cell in row-major order, as a parse of the CSV would."""
+    cells, (column, line) = STREAMED_CHECKS[case]
+    data = nofault_trace.data[:11].copy()
+    for name, at in cells:
+        data[at - 2, TRACE_COLUMNS.index(name)] = np.nan
+    path = tmp_path / "trace.csv"
+    SimTrace(data=data).write_csv(path)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
+        rc = main(["report", "--trace", str(path)])
+    assert not parse.called
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {path}: non-finite value nan in column '{column}' on line {line}\n"
+    Path(f"{path}.f64").unlink()
+    assert main(["report", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_report_holds_under_half_the_trace(nofault_trace, tmp_path):
+    """`report` streams the sidecar into the 13 columns it keeps: the peak of
+    what it allocates stays under half of the trace's 41 columns."""
+    trace = SimTrace(data=nofault_trace.data[:10_001])  # 10 s
+    path, out = tmp_path / "trace.csv", tmp_path / "report.json"
+    trace.write_csv(path)
+    argv = ["report", "--trace", str(path), "--out", str(out)]
+    assert main(argv) == 0  # imports and first-call caches, outside the measurement
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert not parse.called
+    assert peak < trace.data.nbytes / 2
+
+
+def test_report_parses_past_an_oversized_sidecar(tmp_path):
+    """A sidecar of whole rows that claims more rows than its CSV can hold
+    (82 bytes each) is a miss found before anything is allocated: grown
+    sparse to 33 GB, under a 4 GB address-space limit, it gives the report
+    a CSV without a sidecar gives."""
+    path = tmp_path / "trace.csv"
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9))\n"
+              "from ehsobs.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(ehsobs.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def report(out):
+        return subprocess.run([sys.executable, "-c", script, "report", "--trace", str(path),
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120, check=False)
+
+    data = run_scenario(replace(nofault_scenario(), duration=0.05)).data
+    SimTrace(data=data).write_csv(path)
+    Path(f"{path}.f64").unlink()
+    plain = report(tmp_path / "plain.json")
+    assert plain.returncode == 0, plain.stderr
+    SimTrace(data=data).write_csv(path)
+    os.truncate(f"{path}.f64", 16 + 10**8 * len(TRACE_COLUMNS) * 8)
+    grown = report(tmp_path / "grown.json")
+    assert grown.returncode == 0, grown.stderr
+    assert (tmp_path / "grown.json").read_bytes() == (tmp_path / "plain.json").read_bytes()

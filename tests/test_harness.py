@@ -460,15 +460,15 @@ def test_edited_trace_cell_reads_or_raises_config_error(three_row_csv, row, colu
 
 # --- trace sidecar ------------------------------------------------------------
 
-def _read(path, parsed: bool):
-    """read_csv's array as int64 bits, or its ConfigError text; `parsed` says
-    whether the CSV must have been parsed (True) or loaded from its sidecar.
-    No thread started by the read outlives it."""
+def _read(path, parsed: bool, columns=TRACE_COLUMNS):
+    """read_csv's array of `columns` as int64 bits, or its ConfigError text;
+    `parsed` says whether the CSV must have been parsed (True) or loaded from
+    its sidecar.  No thread started by the read outlives it."""
     threads = threading.active_count()
     with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
         warnings.simplefilter("error")
         try:
-            result = SimTrace.read_csv(path).data.view(np.int64)
+            result = SimTrace.read_csv(path, columns=columns).data.view(np.int64)
         except ConfigError as exc:
             result = str(exc)
     assert parse.called == parsed
@@ -518,6 +518,44 @@ def test_sidecar_read_equals_csv_parse_on_traces(name, request, tmp_path):
     Path(f"{path}.f64").unlink()
     _assert_same_read(cached, _read(path, parsed=True))
     _assert_same_read(cached, data.view(np.int64))
+
+
+@settings(max_examples=200)
+@given(trace_arrays(), st.lists(st.sampled_from(TRACE_COLUMNS), unique=True))
+def test_read_of_some_columns_is_those_of_the_full_read(data, columns):
+    """Streamed from the sidecar or parsed, a read keeping some columns gives
+    those columns of the full read, or the full read's error text: every
+    column is checked, kept or not."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        SimTrace(data=data).write_csv(path)
+        full = _read(path, parsed=False)
+        some = _read(path, parsed=False, columns=columns)
+        Path(f"{path}.f64").unlink()
+        _assert_same_read(some, _read(path, parsed=True, columns=columns))
+    if not isinstance(full, str):
+        full = full[:, [TRACE_COLUMNS.index(name) for name in columns]]
+    _assert_same_read(some, full)
+
+
+def test_trace_columns_are_checked():
+    data = _short_data()
+    # a repeated name, an unknown one, and one name fewer than the data has columns
+    for columns, width in ((("t", "t"), 2), (("t", "nope"), 2), (TRACE_COLUMNS[:-1], 41)):
+        with pytest.raises(ValueError):
+            SimTrace(data=data[:, :width], columns=columns)
+    with pytest.raises(ValueError):
+        SimTrace.read_csv("unread.csv", columns=("x1", "x1"))
+
+
+@pytest.mark.parametrize("columns", [("t", "x1"), TRACE_COLUMNS[::-1]])
+def test_only_a_full_trace_is_written(columns, tmp_path):
+    keep = [TRACE_COLUMNS.index(name) for name in columns]
+    trace = SimTrace(data=_short_data()[:, keep], columns=columns)
+    assert np.array_equal(trace["x1"], _short_data()[:, 1])
+    with pytest.raises(ValueError, match="only a trace of all TRACE_COLUMNS"):
+        trace.write_csv(tmp_path / "trace.csv")
+    assert not any(tmp_path.iterdir())
 
 
 def _short_data() -> np.ndarray:
